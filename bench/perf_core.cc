@@ -32,6 +32,7 @@
 #include "runner/json_export.h"
 #include "sched/fifo_queue_disc.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "sketch/sketch_config.h"
 #include "sketch/telemetry.h"
 
@@ -115,6 +116,35 @@ Metric EventCancelChurn(std::uint64_t events) {
   std::uint64_t remaining = events;
   CancelChurner churner{sim, remaining};
   sim.Schedule(Time::Zero(), [&churner] { churner.Fire(); });
+  const auto start = Clock::now();
+  sim.Run();
+  return Metric{sim.events_executed(), SecondsSince(start)};
+}
+
+// ---------------------------------------------------------------------------
+// Timer restart: the same per-ACK RTO pattern through a Timer — every
+// dispatched event pushes one Timer's deadline 10 ms out. A restart to a
+// later deadline is deferred, so it touches no queue.
+// ---------------------------------------------------------------------------
+
+struct TimerRestarter {
+  Simulator& sim;
+  std::uint64_t& remaining;
+  Timer rto;
+
+  void Fire() {
+    rto.Schedule(Time::Milliseconds(10));
+    if (remaining == 0) return;
+    --remaining;
+    sim.Schedule(Time::Nanoseconds(120), [this] { Fire(); });
+  }
+};
+
+Metric TimerRestart(std::uint64_t events) {
+  Simulator sim;
+  std::uint64_t remaining = events;
+  TimerRestarter restarter{sim, remaining, Timer(sim, [] {})};
+  sim.Schedule(Time::Zero(), [&restarter] { restarter.Fire(); });
   const auto start = Clock::now();
   sim.Run();
   return Metric{sim.events_executed(), SecondsSince(start)};
@@ -300,6 +330,12 @@ int main() {
               cancel.rate(), static_cast<unsigned long long>(cancel.items),
               cancel.seconds);
 
+  const Metric restart =
+      BestOf(reps, [&] { return TimerRestart(events / 3); });
+  std::printf("timer_restart:      %10.0f events/s  (%llu events, %.3f s)\n",
+              restart.rate(), static_cast<unsigned long long>(restart.items),
+              restart.seconds);
+
   const Metric pkts = BestOf(reps, [&] { return PacketPath(packets); });
   std::printf("packet_path:        %10.0f packets/s (%llu packets, %.3f s)\n",
               pkts.rate(), static_cast<unsigned long long>(pkts.items),
@@ -341,6 +377,8 @@ int main() {
                           .Set("event_churn", ToJson(churn, "events_per_sec"))
                           .Set("event_cancel_churn",
                                ToJson(cancel, "events_per_sec"))
+                          .Set("timer_restart",
+                               ToJson(restart, "events_per_sec"))
                           .Set("packet_path", ToJson(pkts, "packets_per_sec"))
                           .Set("packet_path_sketch",
                                ToJson(pkts_sketch, "packets_per_sec"))

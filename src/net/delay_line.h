@@ -6,21 +6,18 @@
 // that. With a stochastic sampler it models a variable-latency processing
 // component (SLB, hypervisor, loaded network stack — §2.2).
 //
-// In-flight packets sit in one (deliver_at, order)-sorted queue drained by a
-// single pinned event re-armed per delivery — O(1) per packet, no closure
-// allocation — with order stamps reserved at arrival so deliveries
-// interleave exactly like the legacy one-event-per-packet scheme
-// (net/event_mode.h switches back to it for parity tests).
+// In-flight packets sit in a DeliveryQueue (net/delivery_queue.h): O(1) per
+// packet, no closure allocation, deliveries interleaved exactly like the
+// legacy one-event-per-packet scheme (net/event_mode.h switches back to it
+// for parity tests).
 #ifndef ECNSHARP_NET_DELAY_LINE_H_
 #define ECNSHARP_NET_DELAY_LINE_H_
 
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
 
-#include "net/event_mode.h"
+#include "net/delivery_queue.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 
@@ -36,21 +33,10 @@ class DelayLine : public PacketSink {
   // a stochastic stage can reorder packets, just like a real variable-latency
   // component.
   DelayLine(Simulator& sim, PacketSink& next, std::function<Time()> sampler)
-      : sim_(sim), next_(next), sampler_(std::move(sampler)) {
-    deliver_event_ = sim_.CreatePinned([this] { DeliverFront(); });
-  }
-
-  ~DelayLine() override { sim_.DestroyPinned(deliver_event_); }
+      : sim_(sim), sampler_(std::move(sampler)), queue_(sim, Next{&next}) {}
 
   void HandlePacket(std::unique_ptr<Packet> pkt) override {
-    if (LegacyPerPacketEvents()) {
-      sim_.Schedule(sampler_(), [this, p = std::move(pkt)]() mutable {
-        next_.HandlePacket(std::move(p));
-      });
-      return;
-    }
-    // Reserve the order stamp where the legacy path scheduled the event.
-    Push(Entry{sim_.Now() + sampler_(), sim_.ReserveOrder(), std::move(pkt)});
+    queue_.Push(sim_.Now() + sampler_(), std::move(pkt));
   }
 
   // Runtime reconfiguration (dynamics scripts shift the delay distribution
@@ -64,48 +50,16 @@ class DelayLine : public PacketSink {
   }
 
  private:
-  struct Entry {
-    Time deliver_at;
-    std::uint64_t order;
-    std::unique_ptr<Packet> pkt;
+  struct Next {
+    PacketSink* sink;
+    void operator()(std::unique_ptr<Packet> pkt, bool) const {
+      sink->HandlePacket(std::move(pkt));
+    }
   };
 
-  void Push(Entry entry) {
-    // Sorted insert from the back: appends for fixed delays; a stochastic
-    // sampler (which may reorder) walks only past later deliveries.
-    auto it = queue_.end();
-    while (it != queue_.begin()) {
-      const Entry& prev = *std::prev(it);
-      if (prev.deliver_at < entry.deliver_at ||
-          (prev.deliver_at == entry.deliver_at && prev.order < entry.order)) {
-        break;
-      }
-      --it;
-    }
-    const bool new_front = it == queue_.begin();
-    queue_.insert(it, std::move(entry));
-    if (new_front) {
-      if (sim_.PinnedArmed(deliver_event_)) sim_.CancelPinned(deliver_event_);
-      sim_.SchedulePinnedAtOrdered(deliver_event_, queue_.front().deliver_at,
-                                   queue_.front().order);
-    }
-  }
-
-  void DeliverFront() {
-    Entry entry = std::move(queue_.front());
-    queue_.pop_front();
-    if (!queue_.empty()) {
-      sim_.SchedulePinnedAtOrdered(deliver_event_, queue_.front().deliver_at,
-                                   queue_.front().order);
-    }
-    next_.HandlePacket(std::move(entry.pkt));
-  }
-
   Simulator& sim_;
-  PacketSink& next_;
   std::function<Time()> sampler_;
-  std::deque<Entry> queue_;
-  PinnedEventId deliver_event_;
+  DeliveryQueue<Next> queue_;
 };
 
 }  // namespace ecnsharp

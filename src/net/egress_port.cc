@@ -12,16 +12,13 @@ EgressPort::EgressPort(Simulator& sim, DataRate rate, Time propagation_delay,
     : sim_(sim),
       rate_(rate),
       propagation_delay_(propagation_delay),
-      disc_(std::move(disc)) {
+      disc_(std::move(disc)),
+      wire_(sim, WireEnd{this}) {
   assert(disc_ != nullptr);
   tx_event_ = sim_.CreatePinned([this] { FinishTx(); });
-  arrival_event_ = sim_.CreatePinned([this] { DeliverFront(); });
 }
 
-EgressPort::~EgressPort() {
-  sim_.DestroyPinned(tx_event_);
-  sim_.DestroyPinned(arrival_event_);
-}
+EgressPort::~EgressPort() { sim_.DestroyPinned(tx_event_); }
 
 void EgressPort::Enqueue(std::unique_ptr<Packet> pkt) {
   if (!link_up_) {
@@ -97,71 +94,20 @@ void EgressPort::FinishTx() {
   if (tracer_ != nullptr) tracer_->OnTransmit(*in_flight_, sim_.Now());
   // Hand the packet to the wire: it arrives at the peer after the
   // propagation delay.
-  if (LegacyPerPacketEvents()) {
-    if (in_flight_corrupt_) {
-      sim_.Schedule(propagation_delay_,
-                    [this, pkt = std::move(in_flight_)]() mutable {
-                      if (tracer_ != nullptr) {
-                        tracer_->OnDrop(*pkt, sim_.Now(), DropReason::kCorrupt);
-                      }
-                      pkt.reset();
-                    });
-    } else {
-      sim_.Schedule(propagation_delay_,
-                    [peer = peer_, pkt = std::move(in_flight_)]() mutable {
-                      peer->HandlePacket(std::move(pkt));
-                    });
-    }
-  } else {
-    // The order stamp is reserved here — where the legacy path scheduled the
-    // per-packet delivery event — so the batched wire interleaves with every
-    // other event exactly as the legacy path did.
-    PushWire(WireEntry{sim_.Now() + propagation_delay_, sim_.ReserveOrder(),
-                       std::move(in_flight_), in_flight_corrupt_});
-  }
+  wire_.Push(sim_.Now() + propagation_delay_, std::move(in_flight_),
+             in_flight_corrupt_);
   busy_ = false;
   MaybeStartTx();
 }
 
-void EgressPort::PushWire(WireEntry entry) {
-  // Sorted insert from the back. With a fixed propagation delay and a
-  // monotone clock this appends; only packets committed before a
-  // SetPropagationDelay shortening force a walk.
-  auto it = wire_.end();
-  while (it != wire_.begin()) {
-    const WireEntry& prev = *std::prev(it);
-    if (prev.deliver_at < entry.deliver_at ||
-        (prev.deliver_at == entry.deliver_at && prev.order < entry.order)) {
-      break;
-    }
-    --it;
-  }
-  const bool new_front = it == wire_.begin();
-  wire_.insert(it, std::move(entry));
-  if (new_front) {
-    // The arrival event tracks the front entry's reserved (when, order).
-    if (sim_.PinnedArmed(arrival_event_)) sim_.CancelPinned(arrival_event_);
-    sim_.SchedulePinnedAtOrdered(arrival_event_, wire_.front().deliver_at,
-                                 wire_.front().order);
-  }
-}
-
-void EgressPort::DeliverFront() {
-  assert(!wire_.empty());
-  WireEntry entry = std::move(wire_.front());
-  wire_.pop_front();
-  if (!wire_.empty()) {
-    sim_.SchedulePinnedAtOrdered(arrival_event_, wire_.front().deliver_at,
-                                 wire_.front().order);
-  }
-  if (entry.corrupt) {
+void EgressPort::Arrive(std::unique_ptr<Packet> pkt, bool corrupt) {
+  if (corrupt) {
     if (tracer_ != nullptr) {
-      tracer_->OnDrop(*entry.pkt, sim_.Now(), DropReason::kCorrupt);
+      tracer_->OnDrop(*pkt, sim_.Now(), DropReason::kCorrupt);
     }
-    entry.pkt.reset();
-  } else {
-    peer_->HandlePacket(std::move(entry.pkt));
+    return;
   }
+  peer_->HandlePacket(std::move(pkt));
 }
 
 }  // namespace ecnsharp

@@ -18,17 +18,18 @@
 //
 // Event usage (the burst-drain scheme): a back-to-back train is driven by
 // two persistent pinned events — one tx-completion event re-armed per
-// serialization, one arrival event re-armed per wire delivery against order
-// stamps reserved at transmit time — so draining a train costs O(1) per
-// packet with zero closure allocations. net/event_mode.h switches back to
-// the legacy one-closure-per-packet scheme; both interleave identically.
+// serialization, and the wire's DeliveryQueue (net/delivery_queue.h), whose
+// arrival event is re-armed per delivery against order stamps reserved at
+// transmit time — so draining a train costs O(1) per packet with zero
+// closure allocations. net/event_mode.h switches back to the legacy
+// one-closure-per-packet scheme; both interleave identically.
 #ifndef ECNSHARP_NET_EGRESS_PORT_H_
 #define ECNSHARP_NET_EGRESS_PORT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
+#include "net/delivery_queue.h"
 #include "net/link_fault.h"
 #include "net/packet.h"
 #include "net/packet_tracer.h"
@@ -74,7 +75,8 @@ class EgressPort {
   // Applies from the next packet serialization on.
   void SetRate(DataRate rate) { rate_ = rate; }
   // Applies from the next transmit completion on. Shortening the delay can
-  // reorder against packets already in flight — as on a real rerouted link.
+  // reorder against packets already in flight — as on a real rerouted link
+  // (the wire queue places each packet by its own arrival time).
   void SetPropagationDelay(Time delay) { propagation_delay_ = delay; }
 
   // Takes the link down. With `drop_queued` the disc's backlog is purged
@@ -106,20 +108,18 @@ class EgressPort {
   }
 
  private:
-  // One packet committed to the wire: its arrival time and the order stamp
-  // reserved when it left the transmitter (so deliveries interleave exactly
-  // like independently scheduled per-packet events would).
-  struct WireEntry {
-    Time deliver_at;
-    std::uint64_t order;
-    std::unique_ptr<Packet> pkt;
-    bool corrupt;
+  // The wire's far end: hands a packet that finished propagating to the
+  // peer, or drops it if it was corrupted on the way.
+  struct WireEnd {
+    EgressPort* port;
+    void operator()(std::unique_ptr<Packet> pkt, bool corrupt) const {
+      port->Arrive(std::move(pkt), corrupt);
+    }
   };
 
   void MaybeStartTx();
   void FinishTx();
-  void PushWire(WireEntry entry);
-  void DeliverFront();
+  void Arrive(std::unique_ptr<Packet> pkt, bool corrupt);
 
   Simulator& sim_;
   DataRate rate_;
@@ -134,11 +134,9 @@ class EgressPort {
   bool link_up_ = true;
   Time base_rtt_hint_ = Time::Zero();
   PortCounters counters_;
-  // Burst-drain machinery: packets in flight on the wire, ordered by
-  // (deliver_at, order); the pinned arrival event is armed for the front.
-  std::deque<WireEntry> wire_;
+  // Packets in flight on the wire, delivered in (arrival, order) sequence.
+  DeliveryQueue<WireEnd> wire_;
   PinnedEventId tx_event_;
-  PinnedEventId arrival_event_;
 };
 
 // Adapter presenting an EgressPort as a PacketSink, so ports can terminate

@@ -11,9 +11,10 @@
 
 namespace ecnsharp {
 
-// When true, EgressPort and DelayLine schedule one closure event per packet
-// (the pre-refactor code path). Default false. Flip only between
-// simulations, never mid-run.
+// When true, every DeliveryQueue (wire, DelayLine, host extra egress delay)
+// and EgressPort's transmitter schedule one closure event per packet (the
+// pre-refactor code path). Default false. Flip only between simulations,
+// never mid-run.
 inline bool& LegacyPerPacketEvents() {
   static bool legacy = false;
   return legacy;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <utility>
 
+#include "net/delivery_queue.h"
 #include "net/egress_port.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -21,7 +22,8 @@ namespace ecnsharp {
 
 class Host : public PacketSink {
  public:
-  Host(Simulator& sim, std::uint32_t address) : sim_(sim), address_(address) {}
+  Host(Simulator& sim, std::uint32_t address)
+      : sim_(sim), address_(address), egress_delay_(sim, ToNic{this}) {}
 
   std::uint32_t address() const { return address_; }
   Simulator& sim() { return sim_; }
@@ -42,7 +44,8 @@ class Host : public PacketSink {
 
   // Extra one-way delay applied to every packet this host transmits
   // (emulates netem at the sender; inflates this host's flows' base RTT by
-  // exactly this amount since only the forward path is delayed).
+  // exactly this amount since only the forward path is delayed). A change
+  // applies to packets sent after it; packets already delayed keep theirs.
   void set_extra_egress_delay(Time delay) { extra_egress_delay_ = delay; }
   Time extra_egress_delay() const { return extra_egress_delay_; }
 
@@ -65,10 +68,19 @@ class Host : public PacketSink {
   }
 
  private:
+  // End of the extra egress delay: the NIC queue.
+  struct ToNic {
+    Host* host;
+    void operator()(std::unique_ptr<Packet> pkt, bool) const {
+      host->nic().Enqueue(std::move(pkt));
+    }
+  };
+
   Simulator& sim_;
   std::uint32_t address_;
   std::unique_ptr<EgressPort> nic_;
   Time extra_egress_delay_ = Time::Zero();
+  DeliveryQueue<ToNic> egress_delay_;
   std::uint32_t locality_id_ = 0;
   PacketSink* upper_ = nullptr;
 };

@@ -23,7 +23,7 @@ constexpr std::uint64_t PackId(std::uint32_t slot, std::uint32_t gen) {
 // previous instance's bucket vectors, slot array, pinned chunks, and free
 // lists means only the first experiment grows them.
 struct Simulator::Storage {
-  std::vector<std::vector<HeapEntry>> buckets;
+  std::vector<Bucket> buckets;
   std::vector<HeapEntry> overflow;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_slots;
@@ -45,7 +45,7 @@ Simulator::Simulator() {
   pinned_chunks_.swap(cache.pinned_chunks);
   free_pinned_.swap(cache.free_pinned);
   buckets_.resize(kWheelBuckets);
-  for (auto& b : buckets_) b.clear();
+  for (auto& b : buckets_) b.Reset();
   overflow_.clear();
   free_slots_.clear();
   free_pinned_.clear();
@@ -68,7 +68,7 @@ Simulator::~Simulator() {
     p.fn = nullptr;
     p.armed = false;
   }
-  for (auto& b : buckets_) b.clear();
+  for (auto& b : buckets_) b.Reset();
   overflow_.clear();
   free_slots_.clear();
   free_pinned_.clear();
@@ -95,9 +95,28 @@ void Simulator::Push(const HeapEntry& e) {
     const auto now_abs = static_cast<std::uint64_t>(now_.ns()) >> kWheelShift;
     if (abs - now_abs < kWheelBuckets) {
       const std::size_t idx = abs & kWheelMask;
-      auto& bucket = buckets_[idx];
-      bucket.push_back(e);
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
+      Bucket& bucket = buckets_[idx];
+      // Before a visited bucket grows, drop its dispatched prefix, so its
+      // storage stays bounded by what is pending rather than by all that
+      // passed through it since it was last empty.
+      if (bucket.head != 0 &&
+          bucket.entries.size() == bucket.entries.capacity()) {
+        bucket.entries.erase(bucket.entries.begin(),
+                             bucket.entries.begin() + bucket.head);
+        bucket.head = 0;
+      }
+      // An unvisited bucket takes any order. A visited one stays sorted:
+      // the new entry usually sorts last (it carries the newest order
+      // stamp), and only a reserved older stamp or an earlier time inside
+      // the slice has to be placed among the pending ones.
+      if (!bucket.sorted || !Later{}(bucket.entries.back(), e)) {
+        bucket.entries.push_back(e);
+      } else {
+        bucket.entries.insert(
+            std::upper_bound(bucket.entries.begin() + bucket.head,
+                             bucket.entries.end(), e, Earlier{}),
+            e);
+      }
       MarkBucket(idx);
       ++wheel_count_;
       return;
@@ -247,25 +266,35 @@ int Simulator::FindOccupiedBucket() const {
   return -1;
 }
 
+Simulator::Bucket& Simulator::Visit(int idx) {
+  Bucket& bucket = buckets_[static_cast<std::size_t>(idx)];
+  if (!bucket.sorted) {
+    std::sort(bucket.entries.begin(), bucket.entries.end(), Earlier{});
+    bucket.sorted = true;
+  }
+  return bucket;
+}
+
+void Simulator::PopBucketHead(int idx) {
+  Bucket& bucket = buckets_[static_cast<std::size_t>(idx)];
+  --wheel_count_;
+  if (++bucket.head == bucket.entries.size()) {
+    bucket.Reset();
+    ClearBucket(static_cast<std::size_t>(idx));
+  }
+}
+
 Simulator::Peek Simulator::Locate() {
-  int b;
-  for (;;) {
-    b = wheel_count_ != 0 ? FindOccupiedBucket() : -1;
-    if (b < 0) break;
-    auto& bucket = buckets_[static_cast<std::size_t>(b)];
-    // Drop cancelled entries off the bucket front so the top is live.
-    bool live = false;
-    while (!bucket.empty()) {
-      if (EntryLive(bucket.front())) {
-        live = true;
-        break;
-      }
-      std::pop_heap(bucket.begin(), bucket.end(), Later{});
-      bucket.pop_back();
-      --wheel_count_;
-    }
-    if (live) break;
-    ClearBucket(static_cast<std::size_t>(b));
+  int b = -1;
+  // Drop cancelled entries off the first occupied bucket's head so the
+  // head is live; a bucket that empties clears its bit and the scan moves
+  // on.
+  while (wheel_count_ != 0) {
+    b = FindOccupiedBucket();
+    Bucket& bucket = Visit(b);
+    if (EntryLive(bucket.entries[bucket.head])) break;
+    PopBucketHead(b);
+    b = -1;
   }
   while (!overflow_.empty()) {
     if (EntryLive(overflow_.front())) break;
@@ -274,9 +303,9 @@ Simulator::Peek Simulator::Locate() {
   }
   Peek peek;
   if (b >= 0) {
+    const Bucket& bucket = buckets_[static_cast<std::size_t>(b)];
     if (overflow_.empty() ||
-        Later{}(overflow_.front(),
-                buckets_[static_cast<std::size_t>(b)].front())) {
+        Later{}(overflow_.front(), bucket.entries[bucket.head])) {
       peek.src = Peek::Src::kBucket;
       peek.bucket = b;
     } else {
@@ -290,12 +319,9 @@ Simulator::Peek Simulator::Locate() {
 
 Simulator::HeapEntry Simulator::Pop(const Peek& p) {
   if (p.src == Peek::Src::kBucket) {
-    auto& bucket = buckets_[static_cast<std::size_t>(p.bucket)];
-    std::pop_heap(bucket.begin(), bucket.end(), Later{});
-    const HeapEntry e = bucket.back();
-    bucket.pop_back();
-    if (bucket.empty()) ClearBucket(static_cast<std::size_t>(p.bucket));
-    --wheel_count_;
+    const Bucket& bucket = buckets_[static_cast<std::size_t>(p.bucket)];
+    const HeapEntry e = bucket.entries[bucket.head];
+    PopBucketHead(p.bucket);
     return e;
   }
   std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -326,23 +352,21 @@ bool Simulator::PopNextLive(HeapEntry* out) {
       std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
       overflow_.pop_back();
     }
-    const int b = wheel_count_ != 0 ? FindOccupiedBucket() : -1;
     HeapEntry e;
-    if (b >= 0) {
-      auto& bucket = buckets_[static_cast<std::size_t>(b)];
-      // Raw bucket top: a stale top still bounds its heap from below, so
-      // choosing by it and discarding afterwards cannot hide an earlier
+    if (wheel_count_ != 0) {
+      const int b = FindOccupiedBucket();
+      const Bucket& bucket = Visit(b);
+      const HeapEntry& head = bucket.entries[bucket.head];
+      // Raw bucket head: a stale head still bounds its bucket from below,
+      // so choosing by it and discarding afterwards cannot hide an earlier
       // live event.
-      if (!overflow_.empty() && !Later{}(overflow_.front(), bucket.front())) {
+      if (!overflow_.empty() && !Later{}(overflow_.front(), head)) {
         std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
         e = overflow_.back();
         overflow_.pop_back();
       } else {
-        std::pop_heap(bucket.begin(), bucket.end(), Later{});
-        e = bucket.back();
-        bucket.pop_back();
-        if (bucket.empty()) ClearBucket(static_cast<std::size_t>(b));
-        --wheel_count_;
+        e = head;
+        PopBucketHead(b);
       }
     } else if (!overflow_.empty()) {
       std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -389,7 +413,7 @@ bool Simulator::PeekNextTime(Time* out) {
 
 std::size_t Simulator::pending_events() const {
   std::size_t n = overflow_.size();
-  for (const auto& b : buckets_) n += b.size();
+  for (const auto& b : buckets_) n += b.entries.size() - b.head;
   return n;
 }
 

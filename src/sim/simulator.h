@@ -10,16 +10,17 @@
 // front that engages adaptively: while the pending set is small everything
 // lives in the one heap (the cheapest structure at that scale), and once a
 // run demonstrates scale the near-horizon band (1024 buckets of 256 ns)
-// starts absorbing the dense packet-timescale events into per-bucket
-// mini-heaps, leaving far-horizon work (RTO timers, scenario actions) in
-// the original heap. Both structures order entries by the same (when, order)
-// key, and the dispatcher always pops the global minimum across the two, so
-// the execution sequence is bit-identical to a single min-heap in either
-// mode — the wheel is purely a cache/complexity optimization: sift cost
-// scales with one bucket's occupancy, not the whole pending set; cancelled
-// far-horizon timers are reclaimed eagerly instead of rotting in the heap
-// body; and draining a same-timestamp train never re-heapifies the far
-// horizon (ExecuteBatch exposes that drain as an API).
+// starts absorbing the dense packet-timescale events, leaving far-horizon
+// work (RTO timers, scenario actions) in the original heap. A bucket is an
+// unsorted append-only array until the dispatcher first reaches it; it is
+// then sorted once and popped from a head index (Brown's calendar queue,
+// CACM 1988). Both structures order entries by the same (when, order) key,
+// and the dispatcher always pops the global minimum across the two, so the
+// execution sequence is bit-identical to a single min-heap in either mode —
+// the wheel is purely a cache/complexity optimization: a push into a
+// bucket the dispatcher has not reached is one append, and draining a
+// same-timestamp train never re-heapifies the far horizon (ExecuteBatch
+// exposes that drain as an API).
 //
 // The hot path is allocation- and hash-free: callbacks are stored in a
 // recycled slot array, the heaps order POD entries only, and cancellation is
@@ -74,12 +75,13 @@ class Simulator {
   EventId ScheduleAt(Time when, UniqueFunction<void()> fn);
 
   // Reserves the next FIFO tie-break order stamp without scheduling
-  // anything. Burst-batched components (EgressPort's wire FIFO) reserve the
-  // stamp at the instant the legacy code would have scheduled a per-packet
-  // event, then later insert the event at exactly that position via
-  // ScheduleAtOrdered / SchedulePinnedAtOrdered — so batched delivery
+  // anything. Batched components (net/delivery_queue.h) reserve the stamp at
+  // the instant the legacy code would have scheduled a per-packet event,
+  // and Timer at the instant a restart would have scheduled its expiry;
+  // they later insert the event at exactly that position via
+  // ScheduleAtOrdered / SchedulePinnedAtOrdered — so the deferred event
   // interleaves with all other same-timestamp events precisely as the
-  // unbatched code did.
+  // immediately scheduled one did.
   std::uint64_t ReserveOrder() { return next_order_++; }
   // ScheduleAt with a caller-supplied order stamp from ReserveOrder().
   // `order` must not have been used by another event; events at equal `when`
@@ -119,7 +121,9 @@ class Simulator {
   // the number of events executed (0 when nothing is pending).
   std::size_t ExecuteBatch();
 
-  // Earliest pending live-event time; false when no live events remain.
+  // Earliest pending live-event time; false when no live events remain. A
+  // Timer whose deadline was deferred keeps its earlier event queued, so
+  // this can report a time at which no model callback runs.
   bool PeekNextTime(Time* out);
 
   // Stops the run loop after the currently executing event returns.
@@ -134,12 +138,14 @@ class Simulator {
   // pending_events() this excludes cancelled entries still in the heaps, and
   // it is the invariant the cancellation bookkeeping is bounded by.
   std::size_t live_events() const { return live_count_; }
+  // Whether the timing wheel has engaged (test/diagnostic use).
+  bool wheel_engaged() const { return wheel_on_; }
 
  private:
   // Heap entries are POD: the callback lives in its slot and only this
-  // 24-byte record moves during sift-up/down. `order` breaks ties FIFO. The
-  // top bit of `slot` routes the entry to the pinned-slot arena instead of
-  // the one-shot slot array.
+  // 24-byte record moves during sift-up/down and bucket sorts. `order`
+  // breaks ties FIFO. The top bit of `slot` routes the entry to the
+  // pinned-slot arena instead of the one-shot slot array.
   struct HeapEntry {
     Time when;
     std::uint64_t order = 0;
@@ -152,6 +158,27 @@ class Simulator {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.order > b.order;
+    }
+  };
+  // Ascending (when, order): the sort order of a visited bucket.
+  struct Earlier {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return Later{}(b, a);
+    }
+  };
+  // One wheel bucket: every entry shares the bucket's 256 ns slice. Until
+  // the dispatcher reaches it, pushes append in any order; the first visit
+  // sorts entries[0..] by (when, order), and from then on `head` advances
+  // past dispatched entries while pushes keep the tail sorted. An emptied
+  // bucket resets to unsorted.
+  struct Bucket {
+    std::vector<HeapEntry> entries;
+    std::uint32_t head = 0;
+    bool sorted = false;
+    void Reset() {
+      entries.clear();
+      head = 0;
+      sorted = false;
     }
   };
   // A slot holds one pending one-shot callback. `gen` increments every time
@@ -184,8 +211,11 @@ class Simulator {
   static constexpr std::size_t kOccWords = kWheelBuckets / 64;
   // The wheel engages (stickily, for the Simulator's lifetime) once the
   // overflow heap first reaches this many entries. Small runs — unit tests,
-  // microbenches, the dumbbell loop — never reach it and keep the exact
-  // single-heap hot path; big runs flip early and stay engaged. Because both
+  // microbenches — never reach it and keep the exact single-heap hot path;
+  // big runs flip early and stay engaged. The paper's websearch dumbbell
+  // engages before its first event: the workload schedules all of its flow
+  // arrivals up front (10,000 of them, ~10.2 k overflow entries at peak).
+  // A k=16 fat-tree engages within its first ~61 k events. Because both
   // structures order by the same (when, order) key and every pop compares
   // the two tops, the executed sequence is identical in either mode, and
   // entries never migrate on engagement.
@@ -242,13 +272,20 @@ class Simulator {
   };
   Peek Locate();
   const HeapEntry& Top(const Peek& p) const {
-    return p.src == Peek::Src::kBucket ? buckets_[p.bucket].front()
-                                       : overflow_.front();
+    if (p.src == Peek::Src::kBucket) {
+      const Bucket& b = buckets_[static_cast<std::size_t>(p.bucket)];
+      return b.entries[b.head];
+    }
+    return overflow_.front();
   }
+  // Sorts bucket `idx` on the dispatcher's first visit; returns it.
+  Bucket& Visit(int idx);
+  // Removes the head entry of a visited bucket.
+  void PopBucketHead(int idx);
   HeapEntry Pop(const Peek& p);
   void Dispatch(const HeapEntry& entry);
 
-  std::vector<std::vector<HeapEntry>> buckets_;  // always kWheelBuckets wide
+  std::vector<Bucket> buckets_;  // always kWheelBuckets wide
   std::uint64_t occupancy_[kOccWords] = {};
   std::vector<HeapEntry> overflow_;
   bool wheel_on_ = false;

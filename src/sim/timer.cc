@@ -5,21 +5,38 @@ namespace ecnsharp {
 void Timer::Schedule(Time delay) { ScheduleAt(sim_.Now() + delay); }
 
 void Timer::ScheduleAt(Time when) {
+  if (pending() && when >= expiry_) {
+    // The queued event fires no later than the new deadline; OnEvent moves
+    // it there.
+    expiry_ = when;
+    order_ = sim_.ReserveOrder();
+    return;
+  }
   Cancel();
-  pending_ = true;
   expiry_ = when;
-  event_ = sim_.ScheduleAt(when, [this] { Fire(); });
+  order_ = sim_.ReserveOrder();
+  Arm();
 }
 
 void Timer::Cancel() {
-  if (pending_) {
+  if (pending()) {
     sim_.Cancel(event_);
-    pending_ = false;
+    order_ = 0;
   }
 }
 
-void Timer::Fire() {
-  pending_ = false;
+void Timer::Arm() {
+  const std::uint64_t order = order_;
+  event_ = sim_.ScheduleAtOrdered(expiry_, order,
+                                  [this, order] { OnEvent(order); });
+}
+
+void Timer::OnEvent(std::uint64_t order) {
+  if (order != order_) {
+    Arm();  // the deadline moved later after this event was queued
+    return;
+  }
+  order_ = 0;
   callback_();
 }
 

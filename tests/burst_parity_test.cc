@@ -7,7 +7,9 @@
 // all three topologies x {ECN#, DCTCP-tail, CoDel} under a churn scenario
 // (loss injection, an incast burst, a link flap with purge, and an ECN#
 // re-estimate) by running each experiment twice — burst mode and legacy
-// mode — and comparing the full serialized result JSON byte for byte.
+// mode — and comparing the full serialized result JSON byte for byte. A
+// second script shifts host extra-egress delays mid-run, pinning the host
+// delay queue against the legacy per-packet closures.
 //
 // If one of these tests fails, the burst path stopped reserving order
 // stamps at the legacy scheduling points; see net/egress_port.h.
@@ -63,6 +65,45 @@ ScenarioScript ChurnScript() {
   return script;
 }
 
+// Host extra-egress delay shifts while packets are held in the delay. An
+// incast burst keeps the first senders busy while each one's delay takes a
+// jittered random walk (lengthenings, and shortenings that let new packets
+// overtake delayed ones), and sender 0 drops to zero delay (the direct
+// path) for a while. Packets already delayed keep their delay in both
+// modes.
+ScenarioScript HostDelayShiftScript() {
+  ScenarioScript script;
+  script.seed = 71;
+
+  ScenarioAction burst;
+  burst.kind = ScenarioActionKind::kIncastBurst;
+  burst.at = Time::Milliseconds(1);
+  burst.flows = 8;
+  burst.bytes = 200'000;
+  script.actions.push_back(burst);
+
+  for (int target = 0; target < 4; ++target) {
+    ScenarioAction walk;
+    walk.kind = ScenarioActionKind::kSetHostDelay;
+    walk.at = Time::Milliseconds(1) + Time::FromMicroseconds(20 * target);
+    walk.target = target;
+    walk.delay_us = 0.0;
+    walk.delay_hi_us = 150.0;
+    walk.repeat = 40;
+    walk.period = Time::FromMicroseconds(60);
+    walk.jitter = Time::FromMicroseconds(20);
+    script.actions.push_back(walk);
+  }
+
+  ScenarioAction off;
+  off.kind = ScenarioActionKind::kSetHostDelay;
+  off.at = Time::FromMicroseconds(1530);
+  off.target = 0;
+  off.delay_us = 0.0;
+  script.actions.push_back(off);
+  return script;
+}
+
 // Runs `fn` (an experiment returning ExperimentResult) in both event modes
 // and returns the two serialized results.
 template <typename Fn>
@@ -114,6 +155,33 @@ TEST_P(BurstParityTest, FatTreeChurnByteIdentical) {
     config.flows = 60;
     config.seed = 11;
     config.scenario = ChurnScript();
+    return RunFatTree(config);
+  };
+  const auto [burst, legacy] = RunBothModes(run);
+  EXPECT_EQ(burst, legacy);
+}
+
+TEST_P(BurstParityTest, DumbbellHostDelayShiftByteIdentical) {
+  const auto run = [] {
+    DumbbellExperimentConfig config;
+    config.scheme = BurstParityTest::GetParam();
+    config.flows = 80;
+    config.seed = 13;
+    config.scenario = HostDelayShiftScript();
+    return RunDumbbell(config);
+  };
+  const auto [burst, legacy] = RunBothModes(run);
+  EXPECT_EQ(burst, legacy);
+}
+
+TEST_P(BurstParityTest, FatTreeHostDelayShiftByteIdentical) {
+  const auto run = [] {
+    FatTreeExperimentConfig config;
+    config.scheme = BurstParityTest::GetParam();
+    config.topo.k = 4;
+    config.flows = 80;
+    config.seed = 13;
+    config.scenario = HostDelayShiftScript();
     return RunFatTree(config);
   };
   const auto [burst, legacy] = RunBothModes(run);

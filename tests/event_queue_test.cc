@@ -1,9 +1,14 @@
 // Tests for the simulator's generation-tagged event-slot scheme: FIFO
 // ordering among same-timestamp events, cancellation life-cycle, and the
 // guarantee that a stale EventId can never touch a recycled slot's new
-// occupant.
+// occupant. The engine differential at the end runs a seeded op mix on the
+// real engine and on a reference model and compares dispatch sequences.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +17,7 @@
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer.h"
 
 namespace ecnsharp {
 namespace {
@@ -319,6 +325,417 @@ TEST(EventQueueTest, PeekNextTimeSkipsCancelledEvents) {
   EXPECT_EQ(next, Time::FromMicroseconds(3));
   sim.Run();
   EXPECT_FALSE(sim.PeekNextTime(&next));
+}
+
+// --- Deferred-rearm Timer -------------------------------------------------
+
+// The dumbbell keeps tens of thousands of timers alive for a whole run.
+static_assert(sizeof(Timer) <= 64, "Timer grew past one cache line");
+
+TEST(TimerDeferralTest, DeferredDeadlineKeepsRescheduleOrderAtATie) {
+  // The timer is pushed from 10 us to 20 us at t = 1 us. At 20 us it must
+  // run after an event scheduled for 20 us before the reschedule and before
+  // one scheduled after it, as a cancel-and-reschedule would.
+  Simulator sim;
+  std::string log;
+  const Time t20 = Time::FromMicroseconds(20);
+  Timer timer(sim, [&] { log += 'T'; });
+  timer.ScheduleAt(Time::FromMicroseconds(10));
+  sim.ScheduleAt(Time::FromMicroseconds(1), [&] {
+    sim.ScheduleAt(t20, [&] { log += 'B'; });
+    timer.ScheduleAt(t20);
+    sim.ScheduleAt(t20, [&] { log += 'A'; });
+  });
+  sim.Run();
+  EXPECT_EQ(log, "BTA");
+  EXPECT_EQ(sim.Now(), t20);
+  EXPECT_FALSE(timer.pending());
+}
+
+TEST(TimerDeferralTest, SameDeadlineRescheduleTakesANewStamp) {
+  // Re-arming at the unchanged deadline moves the timer behind events
+  // scheduled for that instant in between.
+  Simulator sim;
+  std::string log;
+  const Time t = Time::FromMicroseconds(5);
+  Timer timer(sim, [&] { log += 'T'; });
+  timer.ScheduleAt(t);
+  sim.ScheduleAt(t, [&] { log += 'a'; });
+  timer.ScheduleAt(t);
+  sim.ScheduleAt(t, [&] { log += 'b'; });
+  sim.Run();
+  EXPECT_EQ(log, "aTb");
+}
+
+TEST(TimerDeferralTest, RunAfterCancelEndsAtTheLastLiveEvent) {
+  // A deferred timer's queued event sits at the old deadline; Cancel must
+  // remove it, or Run() would advance the clock to it.
+  Simulator sim;
+  int fired = 0;
+  Timer timer(sim, [&] { ++fired; });
+  timer.ScheduleAt(Time::FromMicroseconds(10));
+  timer.ScheduleAt(Time::FromMicroseconds(50));
+  sim.ScheduleAt(Time::FromMicroseconds(5), [&] { timer.Cancel(); });
+  sim.Run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.Now(), Time::FromMicroseconds(5));
+  EXPECT_EQ(sim.live_events(), 0u);
+}
+
+TEST(TimerDeferralTest, ShorteningFiresAtTheEarlierTime) {
+  Simulator sim;
+  std::vector<Time> fires;
+  Timer timer(sim, [&] { fires.push_back(sim.Now()); });
+  timer.ScheduleAt(Time::FromMicroseconds(50));
+  timer.ScheduleAt(Time::FromMicroseconds(20));
+  sim.Run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], Time::FromMicroseconds(20));
+  EXPECT_EQ(sim.Now(), Time::FromMicroseconds(20));
+
+  // Shortened after a deferral, to between the queued event and the
+  // deferred deadline.
+  fires.clear();
+  timer.ScheduleAt(Time::FromMicroseconds(30));
+  timer.ScheduleAt(Time::FromMicroseconds(90));
+  timer.ScheduleAt(Time::FromMicroseconds(60));
+  sim.Run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], Time::FromMicroseconds(60));
+  EXPECT_EQ(sim.Now(), Time::FromMicroseconds(60));
+}
+
+// --- Engine differential ----------------------------------------------------
+
+// Reference engine: every pending event in one std::map keyed by
+// (when, order), order stamps from one counter, and a timer restart as a
+// cancel plus a fresh schedule. Obviously correct, and slow.
+class ReferenceEngine {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+
+  std::int64_t Now() const { return now_; }
+  std::uint64_t Reserve() { return next_order_++; }
+  Key At(std::int64_t when, std::uint64_t order, std::function<void()> fn) {
+    const Key key{std::max(when, now_), order};
+    queue_.emplace(key, std::move(fn));
+    return key;
+  }
+  void Cancel(const Key& key) { queue_.erase(key); }
+  void Run() {
+    while (!queue_.empty()) {
+      auto it = queue_.begin();
+      now_ = it->first.first;
+      std::function<void()> fn = std::move(it->second);
+      queue_.erase(it);
+      fn();
+    }
+  }
+
+ private:
+  std::map<Key, std::function<void()>> queue_;
+  std::int64_t now_ = 0;
+  std::uint64_t next_order_ = 1;
+};
+
+// The op mix drives a backend through this surface. Labels name what fired:
+// one-shot tokens are >= 0, pinned event i is -1 - i, timer j is -1000 - j.
+struct RealBackend {
+  explicit RealBackend(std::function<void(int)> on_fire, int pinned, int timers)
+      : fire(std::move(on_fire)) {
+    for (int i = 0; i < pinned; ++i) {
+      pins.push_back(sim.CreatePinned([this, i] { fire(-1 - i); }));
+    }
+    for (int j = 0; j < timers; ++j) {
+      clocks.push_back(
+          std::make_unique<Timer>(sim, [this, j] { fire(-1000 - j); }));
+    }
+  }
+  ~RealBackend() {
+    clocks.clear();
+    for (const PinnedEventId p : pins) sim.DestroyPinned(p);
+  }
+
+  std::int64_t Now() const { return sim.Now().ns(); }
+  std::uint64_t Reserve() { return sim.ReserveOrder(); }
+  void Schedule(std::int64_t delay, int token) {
+    Track(token, sim.Schedule(Time::Nanoseconds(delay),
+                              [this, token] { fire(token); }));
+  }
+  void ScheduleOrdered(std::int64_t when, std::uint64_t order, int token) {
+    Track(token, sim.ScheduleAtOrdered(Time::Nanoseconds(when), order,
+                                       [this, token] { fire(token); }));
+  }
+  void Cancel(int token) { sim.Cancel(ids[static_cast<std::size_t>(token)]); }
+  bool PinnedArmed(int i) const { return sim.PinnedArmed(pins[i]); }
+  void ArmPinned(int i, std::int64_t when) {
+    sim.SchedulePinnedAt(pins[i], Time::Nanoseconds(when));
+  }
+  void ArmPinnedOrdered(int i, std::int64_t when, std::uint64_t order) {
+    sim.SchedulePinnedAtOrdered(pins[i], Time::Nanoseconds(when), order);
+  }
+  void CancelPinned(int i) { sim.CancelPinned(pins[i]); }
+  bool TimerPending(int j) const { return clocks[j]->pending(); }
+  std::int64_t TimerExpiry(int j) const { return clocks[j]->expiry().ns(); }
+  void TimerAt(int j, std::int64_t when) {
+    clocks[j]->ScheduleAt(Time::Nanoseconds(when));
+  }
+  void TimerCancel(int j) { clocks[j]->Cancel(); }
+  void Run() { sim.Run(); }
+
+  void Track(int token, EventId id) {
+    if (ids.size() <= static_cast<std::size_t>(token)) {
+      ids.resize(static_cast<std::size_t>(token) + 1);
+    }
+    ids[static_cast<std::size_t>(token)] = id;
+  }
+
+  Simulator sim;
+  std::function<void(int)> fire;
+  std::vector<PinnedEventId> pins;
+  std::vector<std::unique_ptr<Timer>> clocks;
+  std::vector<EventId> ids;
+};
+
+struct ReferenceBackend {
+  using Key = ReferenceEngine::Key;
+  struct RefTimer {
+    std::optional<Key> key;
+    std::int64_t expiry = 0;
+  };
+
+  explicit ReferenceBackend(std::function<void(int)> on_fire, int pinned,
+                            int timers)
+      : fire(std::move(on_fire)), pins(pinned), clocks(timers) {}
+
+  std::int64_t Now() const { return ref.Now(); }
+  std::uint64_t Reserve() { return ref.Reserve(); }
+  void Schedule(std::int64_t delay, int token) {
+    ScheduleOrdered(ref.Now() + std::max<std::int64_t>(delay, 0),
+                    ref.Reserve(), token);
+  }
+  void ScheduleOrdered(std::int64_t when, std::uint64_t order, int token) {
+    const Key key = ref.At(when, order, [this, token] { fire(token); });
+    if (keys.size() <= static_cast<std::size_t>(token)) {
+      keys.resize(static_cast<std::size_t>(token) + 1);
+    }
+    keys[static_cast<std::size_t>(token)] = key;
+  }
+  void Cancel(int token) { ref.Cancel(keys[static_cast<std::size_t>(token)]); }
+  bool PinnedArmed(int i) const { return pins[i].has_value(); }
+  void ArmPinned(int i, std::int64_t when) {
+    ArmPinnedOrdered(i, when, ref.Reserve());
+  }
+  void ArmPinnedOrdered(int i, std::int64_t when, std::uint64_t order) {
+    pins[i] = ref.At(when, order, [this, i] {
+      pins[i].reset();
+      fire(-1 - i);
+    });
+  }
+  void CancelPinned(int i) {
+    if (pins[i]) ref.Cancel(*pins[i]);
+    pins[i].reset();
+  }
+  bool TimerPending(int j) const { return clocks[j].key.has_value(); }
+  std::int64_t TimerExpiry(int j) const { return clocks[j].expiry; }
+  void TimerAt(int j, std::int64_t when) {
+    TimerCancel(j);
+    clocks[j].expiry = when;
+    clocks[j].key = ref.At(when, ref.Reserve(), [this, j] {
+      clocks[j].key.reset();
+      fire(-1000 - j);
+    });
+  }
+  void TimerCancel(int j) {
+    if (clocks[j].key) ref.Cancel(*clocks[j].key);
+    clocks[j].key.reset();
+  }
+  void Run() { ref.Run(); }
+
+  ReferenceEngine ref;
+  std::function<void(int)> fire;
+  std::vector<std::optional<Key>> pins;
+  std::vector<RefTimer> clocks;
+  std::vector<Key> keys;
+};
+
+// A seeded mix of schedules, reserved-stamp schedules, cancels, pinned
+// re-arms and timer restarts (later, earlier, same deadline, cancel), all
+// issued from inside dispatched callbacks so the two engines see the same
+// ops only while their dispatch sequences agree. `fillers` far-future
+// events are scheduled up front; enough of them engage the wheel.
+struct MixResult {
+  std::vector<std::pair<std::int64_t, int>> log;  // (time, label) per fire
+  std::int64_t end = 0;
+  bool wheel_engaged = false;
+};
+
+template <typename Backend>
+MixResult RunOpMix(std::uint64_t seed, int fillers) {
+  constexpr int kPinned = 8;
+  constexpr int kTimers = 16;
+  constexpr int kBudget = 30'000;  // fires that still issue ops
+  MixResult result;
+  std::uint64_t rng = seed;
+  const auto next = [&rng](std::uint64_t n) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng >> 33) % n;
+  };
+  // Delays on a 32 ns grid so ties are common, spanning a bucket, the
+  // wheel's 262 us window and the far horizon.
+  const auto delay = [&next]() -> std::int64_t {
+    switch (next(8)) {
+      case 0:
+        return 0;
+      case 1:
+      case 2:
+        return static_cast<std::int64_t>(next(8)) * 32;
+      case 3:
+      case 4:
+        return static_cast<std::int64_t>(next(640)) * 32;
+      case 5:
+      case 6:
+        return static_cast<std::int64_t>(next(10'000)) * 32;
+      default:
+        return static_cast<std::int64_t>(next(160)) * 32'000;
+    }
+  };
+
+  std::vector<bool> live;  // one-shot token -> pending
+  std::vector<int> live_tokens;
+  int live_count = 0;
+  std::vector<std::uint64_t> reserved;
+  int fired = 0;
+  Backend* backend = nullptr;
+
+  const auto new_token = [&] {
+    ++live_count;
+    live.push_back(true);
+    live_tokens.push_back(static_cast<int>(live.size()) - 1);
+    return static_cast<int>(live.size()) - 1;
+  };
+  const auto op = [&](Backend& b) {
+    const std::int64_t now = b.Now();
+    switch (next(12)) {
+      case 0:
+      case 1:
+      case 2:
+        b.Schedule(delay(), new_token());
+        return;
+      case 3:
+        reserved.push_back(b.Reserve());
+        return;
+      case 4:
+        if (!reserved.empty()) {
+          const std::uint64_t order = reserved.back();
+          reserved.pop_back();
+          const int i = static_cast<int>(next(kPinned));
+          if (next(2) == 0 && !b.PinnedArmed(i)) {
+            b.ArmPinnedOrdered(i, now + delay(), order);
+          } else {
+            b.ScheduleOrdered(now + delay(), order, new_token());
+          }
+        }
+        return;
+      case 5: {
+        // Cancel a random live one-shot (dead entries are pruned lazily).
+        while (!live_tokens.empty()) {
+          const std::size_t k = next(live_tokens.size());
+          const int token = live_tokens[k];
+          live_tokens[k] = live_tokens.back();
+          live_tokens.pop_back();
+          if (live[static_cast<std::size_t>(token)]) {
+            live[static_cast<std::size_t>(token)] = false;
+            --live_count;
+            b.Cancel(token);
+            return;
+          }
+        }
+        return;
+      }
+      case 6: {
+        const int i = static_cast<int>(next(kPinned));
+        if (b.PinnedArmed(i)) b.CancelPinned(i);
+        b.ArmPinned(i, now + delay());
+        return;
+      }
+      default: {
+        const int j = static_cast<int>(next(kTimers));
+        const bool pending = b.TimerPending(j);
+        const std::int64_t expiry = b.TimerExpiry(j);
+        switch (next(6)) {
+          case 0:  // later deadline
+            b.TimerAt(j, (pending ? expiry : now) + 32 + delay());
+            return;
+          case 1:  // earlier deadline
+            b.TimerAt(j, pending ? std::max(now, expiry - 32 - delay())
+                                 : now + delay());
+            return;
+          case 2:  // same deadline
+            b.TimerAt(j, pending ? expiry : now + delay());
+            return;
+          case 3:
+            b.TimerCancel(j);
+            return;
+          default:  // the per-ACK restart: now + RTO
+            b.TimerAt(j, now + 32'000 + static_cast<std::int64_t>(next(4)) *
+                                            32'000);
+            return;
+        }
+      }
+    }
+  };
+  const auto on_fire = [&](int label) {
+    Backend& b = *backend;
+    result.log.emplace_back(b.Now(), label);
+    if (label >= 0) {
+      live[static_cast<std::size_t>(label)] = false;
+      --live_count;
+    }
+    if (++fired > kBudget) return;
+    const int ops = 1 + static_cast<int>(next(3));
+    for (int k = 0; k < ops; ++k) op(b);
+    // Keep a working population so the mix runs its whole budget.
+    while (live_count < 32) b.Schedule(delay(), new_token());
+  };
+
+  Backend b(on_fire, kPinned, kTimers);
+  backend = &b;
+  for (int i = 0; i < 64; ++i) b.Schedule(delay(), new_token());
+  for (int i = 0; i < kTimers; ++i) b.TimerAt(i, delay());
+  for (int i = 0; i < fillers; ++i) {
+    b.Schedule(50'000'000 + static_cast<std::int64_t>(i % 97) * 256,
+               new_token());
+  }
+  b.Run();
+  result.end = b.Now();
+  if constexpr (std::is_same_v<Backend, RealBackend>) {
+    result.wheel_engaged = b.sim.wheel_engaged();
+  }
+  return result;
+}
+
+void ExpectEngineMatchesReference(int fillers, bool engaged) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 0x5eedull}) {
+    SCOPED_TRACE(seed);
+    const MixResult real = RunOpMix<RealBackend>(seed, fillers);
+    const MixResult reference = RunOpMix<ReferenceBackend>(seed, fillers);
+    EXPECT_EQ(real.wheel_engaged, engaged);
+    ASSERT_GT(reference.log.size(), 30'000u);
+    EXPECT_EQ(real.end, reference.end);
+    ASSERT_EQ(real.log.size(), reference.log.size());
+    for (std::size_t i = 0; i < real.log.size(); ++i) {
+      ASSERT_EQ(real.log[i], reference.log[i]) << "at dispatch " << i;
+    }
+  }
+}
+
+TEST(EngineDifferentialTest, SingleHeapMatchesReference) {
+  ExpectEngineMatchesReference(/*fillers=*/0, /*engaged=*/false);
+}
+
+TEST(EngineDifferentialTest, WheelMatchesReference) {
+  ExpectEngineMatchesReference(/*fillers=*/5000, /*engaged=*/true);
 }
 
 }  // namespace
