@@ -11,14 +11,19 @@
 //
 // The headline metric is sim-to-wall (simulated seconds per wall-clock
 // second) per scale — the number the ROADMAP's intra-run parallelism item
-// needs a baseline for. Jobs run sequentially on one worker so wall times
+// needs a baseline for. Jobs run one at a time on one thread so wall times
 // are honest; the exported results/fattree_scale.json carries configs +
 // results only (no wall-clock), so it stays byte-identical across runs.
+// Each point also reports the process's peak RSS (getrusage ru_maxrss)
+// read right after it: a high-water mark, so with the default ascending k
+// list it is that point's own peak.
 //
 //   ECNSHARP_FATTREE_KS=8,16   override the k list (CI runs the 1k-host
 //                              k=16 point only)
 //   ECNSHARP_FLOWS=<n>         fixed flow count for every scale
 //   ECNSHARP_FULL=1            4x flows per scale
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,6 +35,12 @@
 namespace {
 
 using namespace ecnsharp;
+
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
+}
 
 std::vector<std::size_t> ScaleList() {
   const char* env = std::getenv("ECNSHARP_FATTREE_KS");
@@ -119,18 +130,20 @@ int main() {
   PrintScale(specs.empty() ? 0 : std::get<FatTreeExperimentConfig>(
                                      specs[0].config).flows, seed);
 
-  // One worker, deliberately: wall_seconds per job is the datum here, and
-  // concurrent jobs would contend for cores and poison it.
-  runner::SweepOptions options;
-  options.jobs = 1;
-  options.label = "fattree_scale";
-  const std::vector<runner::JobResult> sweep =
-      runner::RunJobs(specs, options);
+  // One job at a time on this thread, deliberately: wall_seconds per job is
+  // the datum here, and concurrent jobs would contend for cores and poison
+  // it. The peak RSS is read after each point.
+  std::vector<runner::JobResult> sweep;
+  std::vector<double> peak_rss_mb;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    sweep.push_back(runner::RunJob(specs[i], i));
+    peak_rss_mb.push_back(PeakRssMb());
+  }
   runner::ExportSweep("fattree_scale", specs, sweep);
 
   TP table({"k", "hosts", "sw ports", "flows", "sim(s)", "wall(s)",
-            "sim/wall", "overall avg(us)", "short p99(us)", "large avg(us)",
-            "marks", "drops"});
+            "sim/wall", "peak RSS(MB)", "overall avg(us)", "short p99(us)",
+            "large avg(us)", "marks", "drops"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentResult r = runner::FctResult(sweep[i]);
     const std::size_t k = ks[i];
@@ -141,6 +154,7 @@ int main() {
                   TP::Fmt(r.sim_seconds, 3),
                   TP::Fmt(sweep[i].wall_seconds, 2),
                   TP::Fmt(r.sim_seconds / sweep[i].wall_seconds, 4),
+                  TP::Fmt(peak_rss_mb[i], 1),
                   TP::Fmt(r.overall.avg_us, 1),
                   TP::Fmt(r.short_flows.p99_us, 1),
                   TP::Fmt(r.large_flows.avg_us, 1),
@@ -154,7 +168,8 @@ int main() {
   // second), so tools/perf_gate can hold the intra-run parallelism
   // trajectory. CI gates the k=16 point against the committed
   // BENCH_fattree.json; extra local points (k=8/32, ECNSHARP_FATTREE_KS)
-  // ride through the gate's NEW-metric path.
+  // ride through the gate's NEW-metric path. peak_rss_mb is recorded but
+  // not gated (the gate reads *_per_sec metrics only).
   Json gate_metrics = Json::Object();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentResult r = runner::FctResult(sweep[i]);
@@ -164,6 +179,7 @@ int main() {
             .Set("hosts", Json::UInt(host_counts[i]))
             .Set("sim_seconds", Json::Num(r.sim_seconds))
             .Set("wall_seconds", Json::Num(sweep[i].wall_seconds))
+            .Set("peak_rss_mb", Json::Num(peak_rss_mb[i]))
             .Set("sim_seconds_per_sec",
                  Json::Num(sweep[i].wall_seconds > 0.0
                                ? r.sim_seconds / sweep[i].wall_seconds

@@ -51,11 +51,12 @@ LaneSet::LaneSet(std::size_t lanes) {
 void LaneSet::Post(std::size_t from, std::size_t to, Time when,
                    UniqueFunction<void()> fn) {
   assert(from < lanes_.size() && to < lanes_.size());
+  Lane& poster = *lanes_[from];
   MailboxEntry entry{when, static_cast<std::uint32_t>(from),
-                     lanes_[from]->next_post_seq++, std::move(fn)};
+                     poster.next_post_seq++, std::move(fn)};
   Lane& target = *lanes_[to];
   std::lock_guard<std::mutex> lock(target.mailbox_mu);
-  target.mailbox.push_back(std::move(entry));
+  target.mailbox[poster.round & 1].push_back(std::move(entry));
 }
 
 void LaneSet::Absorb(std::size_t i) {
@@ -63,7 +64,8 @@ void LaneSet::Absorb(std::size_t i) {
   std::vector<MailboxEntry> batch;
   {
     std::lock_guard<std::mutex> lock(lane.mailbox_mu);
-    batch.swap(lane.mailbox);
+    batch.swap(lane.mailbox[lane.round & 1]);
+    ++lane.round;
   }
   if (batch.empty()) return;
   // The arrival interleaving of concurrent posters is nondeterministic;

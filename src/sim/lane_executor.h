@@ -15,11 +15,15 @@
 // Determinism: a lane's own events execute in its Simulator's usual
 // (when, order) order, and mailbox absorption sorts by (when, from, seq)
 // before scheduling, erasing the nondeterministic arrival interleaving of
-// concurrent posters. Two identical runs therefore produce identical
-// results. The *interleaving across lanes* is however relaxed relative to a
-// single-simulator run — same-timestamp events in different lanes execute
-// in unrelated order — so lanes-on trajectories may differ from lanes-off
-// at ties. Parity/golden suites always run lanes-off; lanes-on pins
+// concurrent posters. Each lane has two mailboxes, one per round parity: a
+// post made during round r lands in the target's mailbox r % 2, which the
+// target absorbs at the start of round r + 1. A fast lane that has already
+// entered round r + 1 thus posts into the other mailbox and can never add
+// to the batch a slower lane is about to absorb. Two identical runs
+// therefore produce identical results. The *interleaving across lanes* is
+// however relaxed relative to a single-simulator run — same-timestamp
+// events in different lanes execute in unrelated order — so lanes-on
+// trajectories may differ from lanes-off at ties. Parity/golden suites always run lanes-off; lanes-on pins
 // run-to-run determinism instead (tests/lanes_test.cc).
 #ifndef ECNSHARP_SIM_LANE_EXECUTOR_H_
 #define ECNSHARP_SIM_LANE_EXECUTOR_H_
@@ -68,14 +72,20 @@ class LaneSet {
   struct Lane {
     std::unique_ptr<Simulator> sim;
     std::mutex mailbox_mu;
-    std::vector<MailboxEntry> mailbox;
+    std::vector<MailboxEntry> mailbox[2];  // by the poster's round parity
     // Stamped by the *posting* lane (single-threaded per lane), so entries
     // from one poster carry their production order.
     std::uint64_t next_post_seq = 0;
+    // The round this lane is executing, counted over the LaneSet's
+    // lifetime; between Run calls, the last one it executed. Starts at -1
+    // (mod 2^64) so posts made before the first round go to the mailbox
+    // round 0 absorbs.
+    std::uint64_t round = UINT64_MAX;
   };
 
-  // Drains lane i's mailbox, sorts by (when, from, seq), and schedules the
-  // entries on its simulator. Runs on lane i's thread at round start.
+  // Starts lane i's next round: drains the mailbox the previous round's
+  // posts went to, sorts by (when, from, seq), and schedules the entries on
+  // its simulator. Runs on lane i's thread.
   void Absorb(std::size_t i);
 
   std::vector<std::unique_ptr<Lane>> lanes_;

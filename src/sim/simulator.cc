@@ -20,10 +20,11 @@ constexpr std::uint64_t PackId(std::uint32_t slot, std::uint32_t gen) {
 
 // Capacity recycled between Simulator instances on the same thread. Sweeps
 // construct one Simulator per experiment on a worker thread; adopting the
-// previous instance's bucket vectors, slot array, pinned chunks, and free
-// lists means only the first experiment grows them.
+// previous instance's block slab, dispatch array, slot array, pinned
+// chunks, and free lists means only the first experiment grows them.
 struct Simulator::Storage {
-  std::vector<Bucket> buckets;
+  std::vector<Block> blocks;
+  std::vector<HeapEntry> dispatch;
   std::vector<HeapEntry> overflow;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_slots;
@@ -38,14 +39,17 @@ Simulator::Storage& Simulator::ThreadStorageCache() {
 
 Simulator::Simulator() {
   Storage& cache = ThreadStorageCache();
-  buckets_.swap(cache.buckets);
+  blocks_.swap(cache.blocks);
+  dispatch_.swap(cache.dispatch);
   overflow_.swap(cache.overflow);
   slots_.swap(cache.slots);
   free_slots_.swap(cache.free_slots);
   pinned_chunks_.swap(cache.pinned_chunks);
   free_pinned_.swap(cache.free_pinned);
-  buckets_.resize(kWheelBuckets);
-  for (auto& b : buckets_) b.Reset();
+  // A recycled slab keeps its capacity but hands blocks out from the front
+  // again; the free list starts empty.
+  blocks_.clear();
+  dispatch_.clear();
   overflow_.clear();
   free_slots_.clear();
   free_pinned_.clear();
@@ -68,12 +72,16 @@ Simulator::~Simulator() {
     p.fn = nullptr;
     p.armed = false;
   }
-  for (auto& b : buckets_) b.Reset();
+  blocks_.clear();
+  dispatch_.clear();
   overflow_.clear();
   free_slots_.clear();
   free_pinned_.clear();
   Storage& cache = ThreadStorageCache();
-  if (buckets_.size() >= cache.buckets.size()) buckets_.swap(cache.buckets);
+  if (blocks_.capacity() > cache.blocks.capacity()) blocks_.swap(cache.blocks);
+  if (dispatch_.capacity() > cache.dispatch.capacity()) {
+    dispatch_.swap(cache.dispatch);
+  }
   if (overflow_.capacity() > cache.overflow.capacity()) {
     overflow_.swap(cache.overflow);
   }
@@ -95,27 +103,28 @@ void Simulator::Push(const HeapEntry& e) {
     const auto now_abs = static_cast<std::uint64_t>(now_.ns()) >> kWheelShift;
     if (abs - now_abs < kWheelBuckets) {
       const std::size_t idx = abs & kWheelMask;
-      Bucket& bucket = buckets_[idx];
-      // Before a visited bucket grows, drop its dispatched prefix, so its
-      // storage stays bounded by what is pending rather than by all that
-      // passed through it since it was last empty.
-      if (bucket.head != 0 &&
-          bucket.entries.size() == bucket.entries.capacity()) {
-        bucket.entries.erase(bucket.entries.begin(),
-                             bucket.entries.begin() + bucket.head);
-        bucket.head = 0;
-      }
-      // An unvisited bucket takes any order. A visited one stays sorted:
-      // the new entry usually sorts last (it carries the newest order
-      // stamp), and only a reserved older stamp or an earlier time inside
-      // the slice has to be placed among the pending ones.
-      if (!bucket.sorted || !Later{}(bucket.entries.back(), e)) {
-        bucket.entries.push_back(e);
+      if (idx != visited_) {
+        Append(idx, e);
       } else {
-        bucket.entries.insert(
-            std::upper_bound(bucket.entries.begin() + bucket.head,
-                             bucket.entries.end(), e, Earlier{}),
-            e);
+        // Before the dispatch array grows, drop its dispatched prefix, so
+        // it stays bounded by what is pending rather than by all that
+        // passed through the bucket since it was visited.
+        if (dispatch_head_ != 0 && dispatch_.size() == dispatch_.capacity()) {
+          dispatch_.erase(dispatch_.begin(),
+                          dispatch_.begin() + dispatch_head_);
+          dispatch_head_ = 0;
+        }
+        // The visited bucket stays sorted: the new entry usually sorts last
+        // (it carries the newest order stamp), and only a reserved older
+        // stamp or an earlier time inside the slice has to be placed among
+        // the pending ones.
+        if (!Later{}(dispatch_.back(), e)) {
+          dispatch_.push_back(e);
+        } else {
+          dispatch_.insert(std::upper_bound(dispatch_.begin() + dispatch_head_,
+                                            dispatch_.end(), e, Earlier{}),
+                           e);
+        }
       }
       MarkBucket(idx);
       ++wheel_count_;
@@ -130,6 +139,30 @@ void Simulator::Push(const HeapEntry& e) {
     // landing in buckets.
     wheel_on_ = true;
   }
+}
+
+void Simulator::Append(std::size_t idx, const HeapEntry& e) {
+  Bucket& bucket = buckets_[idx];
+  if (bucket.last == kNoBlock || blocks_[bucket.last].count == kBlockEntries) {
+    std::uint32_t b;
+    if (free_block_ != kNoBlock) {
+      b = free_block_;
+      free_block_ = blocks_[b].next;
+      blocks_[b].count = 0;
+      blocks_[b].next = kNoBlock;
+    } else {
+      b = static_cast<std::uint32_t>(blocks_.size());
+      blocks_.emplace_back();
+    }
+    if (bucket.last == kNoBlock) {
+      bucket.first = b;
+    } else {
+      blocks_[bucket.last].next = b;
+    }
+    bucket.last = b;
+  }
+  Block& tail = blocks_[bucket.last];
+  tail.entries[tail.count++] = e;
 }
 
 EventId Simulator::ScheduleImpl(Time when, std::uint64_t order,
@@ -237,14 +270,12 @@ void Simulator::DestroyPinned(PinnedEventId id) {
   free_pinned_.push_back(id.slot);
 }
 
-int Simulator::FindOccupiedBucket() const {
+std::size_t Simulator::FindOccupiedBucket() const {
   const auto start = static_cast<std::size_t>(
       (static_cast<std::uint64_t>(now_.ns()) >> kWheelShift) & kWheelMask);
   // Hot case: the bucket holding Now() is occupied (dense same-instant and
   // near-instant traffic lands there).
-  if (occupancy_[start >> 6] & (1ull << (start & 63))) {
-    return static_cast<int>(start);
-  }
+  if (occupancy_[start >> 6] & (1ull << (start & 63))) return start;
   // Visit masked indices in absolute-bucket order: start..end, then the
   // wrapped prefix 0..start-1 (which holds the window's later half). Word-
   // at-a-time with a masked first word.
@@ -252,9 +283,7 @@ int Simulator::FindOccupiedBucket() const {
   std::uint64_t bits = occupancy_[word] & (~0ull << (start & 63));
   for (std::size_t scanned = 0; scanned <= kOccWords; ++scanned) {
     if (bits != 0) {
-      const auto idx =
-          (word << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
-      return static_cast<int>(idx);
+      return (word << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
     }
     word = (word + 1) & (kOccWords - 1);
     bits = occupancy_[word];
@@ -263,65 +292,77 @@ int Simulator::FindOccupiedBucket() const {
       bits &= (start & 63) != 0 ? ~(~0ull << (start & 63)) : 0ull;
     }
   }
-  return -1;
+  return kNoBucket;
 }
 
-Simulator::Bucket& Simulator::Visit(int idx) {
-  Bucket& bucket = buckets_[static_cast<std::size_t>(idx)];
-  if (!bucket.sorted) {
-    std::sort(bucket.entries.begin(), bucket.entries.end(), Earlier{});
-    bucket.sorted = true;
+const Simulator::HeapEntry& Simulator::Visit(std::size_t idx) {
+  if (idx != visited_) {
+    if (visited_ != kNoBucket) {
+      // An event at Now() pushed into a slice ahead of the visited bucket:
+      // its remainder goes back into its chain and is sorted again when the
+      // dispatcher returns to it.
+      for (std::size_t i = dispatch_head_; i < dispatch_.size(); ++i) {
+        Append(visited_, dispatch_[i]);
+      }
+    }
+    dispatch_.clear();
+    dispatch_head_ = 0;
+    Bucket& bucket = buckets_[idx];
+    for (std::uint32_t b = bucket.first; b != kNoBlock; b = blocks_[b].next) {
+      const Block& block = blocks_[b];
+      dispatch_.insert(dispatch_.end(), block.entries,
+                       block.entries + block.count);
+    }
+    // The whole chain joins the free list in one splice.
+    blocks_[bucket.last].next = free_block_;
+    free_block_ = bucket.first;
+    bucket = Bucket{};
+    std::sort(dispatch_.begin(), dispatch_.end(), Earlier{});
+    visited_ = idx;
   }
-  return bucket;
+  return dispatch_[dispatch_head_];
 }
 
-void Simulator::PopBucketHead(int idx) {
-  Bucket& bucket = buckets_[static_cast<std::size_t>(idx)];
+void Simulator::PopVisitedHead() {
   --wheel_count_;
-  if (++bucket.head == bucket.entries.size()) {
-    bucket.Reset();
-    ClearBucket(static_cast<std::size_t>(idx));
+  if (++dispatch_head_ == dispatch_.size()) {
+    dispatch_.clear();
+    dispatch_head_ = 0;
+    ClearBucket(visited_);
+    visited_ = kNoBucket;
   }
 }
 
 Simulator::Peek Simulator::Locate() {
-  int b = -1;
+  bool in_wheel = false;
   // Drop cancelled entries off the first occupied bucket's head so the
   // head is live; a bucket that empties clears its bit and the scan moves
   // on.
   while (wheel_count_ != 0) {
-    b = FindOccupiedBucket();
-    Bucket& bucket = Visit(b);
-    if (EntryLive(bucket.entries[bucket.head])) break;
-    PopBucketHead(b);
-    b = -1;
+    if (EntryLive(Visit(FindOccupiedBucket()))) {
+      in_wheel = true;
+      break;
+    }
+    PopVisitedHead();
   }
   while (!overflow_.empty()) {
     if (EntryLive(overflow_.front())) break;
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     overflow_.pop_back();
   }
-  Peek peek;
-  if (b >= 0) {
-    const Bucket& bucket = buckets_[static_cast<std::size_t>(b)];
-    if (overflow_.empty() ||
-        Later{}(overflow_.front(), bucket.entries[bucket.head])) {
-      peek.src = Peek::Src::kBucket;
-      peek.bucket = b;
-    } else {
-      peek.src = Peek::Src::kOverflow;
-    }
-  } else if (!overflow_.empty()) {
-    peek.src = Peek::Src::kOverflow;
+  if (in_wheel) {
+    return overflow_.empty() ||
+                   Later{}(overflow_.front(), dispatch_[dispatch_head_])
+               ? Peek::kBucket
+               : Peek::kOverflow;
   }
-  return peek;
+  return overflow_.empty() ? Peek::kNone : Peek::kOverflow;
 }
 
-Simulator::HeapEntry Simulator::Pop(const Peek& p) {
-  if (p.src == Peek::Src::kBucket) {
-    const Bucket& bucket = buckets_[static_cast<std::size_t>(p.bucket)];
-    const HeapEntry e = bucket.entries[bucket.head];
-    PopBucketHead(p.bucket);
+Simulator::HeapEntry Simulator::Pop(Peek p) {
+  if (p == Peek::kBucket) {
+    const HeapEntry e = dispatch_[dispatch_head_];
+    PopVisitedHead();
     return e;
   }
   std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -354,9 +395,7 @@ bool Simulator::PopNextLive(HeapEntry* out) {
     }
     HeapEntry e;
     if (wheel_count_ != 0) {
-      const int b = FindOccupiedBucket();
-      const Bucket& bucket = Visit(b);
-      const HeapEntry& head = bucket.entries[bucket.head];
+      const HeapEntry& head = Visit(FindOccupiedBucket());
       // Raw bucket head: a stale head still bounds its bucket from below,
       // so choosing by it and discarding afterwards cannot hide an earlier
       // live event.
@@ -366,7 +405,7 @@ bool Simulator::PopNextLive(HeapEntry* out) {
         overflow_.pop_back();
       } else {
         e = head;
-        PopBucketHead(b);
+        PopVisitedHead();
       }
     } else if (!overflow_.empty()) {
       std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -406,15 +445,18 @@ void Simulator::Dispatch(const HeapEntry& entry) {
 
 bool Simulator::PeekNextTime(Time* out) {
   const Peek p = Locate();
-  if (p.src == Peek::Src::kNone) return false;
+  if (p == Peek::kNone) return false;
   *out = Top(p).when;
   return true;
 }
 
 std::size_t Simulator::pending_events() const {
-  std::size_t n = overflow_.size();
-  for (const auto& b : buckets_) n += b.entries.size() - b.head;
-  return n;
+  return overflow_.size() + wheel_count_;
+}
+
+std::size_t Simulator::wheel_storage_bytes() const {
+  return blocks_.capacity() * sizeof(Block) +
+         dispatch_.capacity() * sizeof(HeapEntry);
 }
 
 void Simulator::Run() {
@@ -427,7 +469,7 @@ void Simulator::RunUntil(Time until) {
   stopped_ = false;
   while (!stopped_) {
     const Peek p = Locate();
-    if (p.src == Peek::Src::kNone) break;
+    if (p == Peek::kNone) break;
     if (Top(p).when > until) break;
     Dispatch(Pop(p));
   }
@@ -436,10 +478,10 @@ void Simulator::RunUntil(Time until) {
 
 std::size_t Simulator::ExecuteBatch() {
   Peek p = Locate();
-  if (p.src == Peek::Src::kNone) return 0;
+  if (p == Peek::kNone) return 0;
   const Time batch_time = Top(p).when;
   std::size_t executed = 0;
-  while (p.src != Peek::Src::kNone && Top(p).when == batch_time) {
+  while (p != Peek::kNone && Top(p).when == batch_time) {
     Dispatch(Pop(p));
     ++executed;
     p = Locate();

@@ -11,14 +11,18 @@
 // lives in the one heap (the cheapest structure at that scale), and once a
 // run demonstrates scale the near-horizon band (1024 buckets of 256 ns)
 // starts absorbing the dense packet-timescale events, leaving far-horizon
-// work (RTO timers, scenario actions) in the original heap. A bucket is an
-// unsorted append-only array until the dispatcher first reaches it; it is
-// then sorted once and popped from a head index (Brown's calendar queue,
-// CACM 1988). Both structures order entries by the same (when, order) key,
-// and the dispatcher always pops the global minimum across the two, so the
+// work (RTO timers, scenario actions) in the original heap. The wheel is a
+// pooled calendar (Brown's calendar queue, CACM 1988, with shared
+// storage): a bucket the dispatcher has not reached is an unsorted chain of
+// fixed-size entry blocks drawn from one free list, so a push is one
+// append. When the dispatcher reaches a bucket it moves the entries into
+// one reusable dispatch array, returns the blocks to the free list, sorts
+// the array once and pops from a head index. Wheel storage therefore tracks
+// the pending set, not the worst burst each of the 1024 slices ever held.
+// Both structures order entries by the same (when, order) key, and the
+// dispatcher always pops the global minimum across the two, so the
 // execution sequence is bit-identical to a single min-heap in either mode —
-// the wheel is purely a cache/complexity optimization: a push into a
-// bucket the dispatcher has not reached is one append, and draining a
+// the wheel is purely a cache/complexity optimization, and draining a
 // same-timestamp train never re-heapifies the far horizon (ExecuteBatch
 // exposes that drain as an API).
 //
@@ -27,7 +31,7 @@
 // an O(1) generation-tag bump (no hash-set bookkeeping). Recurring events
 // (egress serialization, wire arrivals) can be *pinned*: the callback is
 // registered once in chunk-stable storage and re-armed per occurrence, so a
-// million packet transmissions build zero closures. Slot, heap, and
+// million packet transmissions build zero closures. Slot, heap, block and
 // free-list storage is recycled across Simulator instances on the same
 // thread, so the Nth experiment of a sweep pays no warm-up allocations.
 #ifndef ECNSHARP_SIM_SIMULATOR_H_
@@ -140,6 +144,9 @@ class Simulator {
   std::size_t live_events() const { return live_count_; }
   // Whether the timing wheel has engaged (test/diagnostic use).
   bool wheel_engaged() const { return wheel_on_; }
+  // Bytes the wheel holds for entries: the block slab plus the dispatch
+  // array, by capacity (test/diagnostic use).
+  std::size_t wheel_storage_bytes() const;
 
  private:
   // Heap entries are POD: the callback lives in its slot and only this
@@ -166,20 +173,21 @@ class Simulator {
       return Later{}(b, a);
     }
   };
-  // One wheel bucket: every entry shares the bucket's 256 ns slice. Until
-  // the dispatcher reaches it, pushes append in any order; the first visit
-  // sorts entries[0..] by (when, order), and from then on `head` advances
-  // past dispatched entries while pushes keep the tail sorted. An emptied
-  // bucket resets to unsorted.
+  // Wheel storage. Every entry of a bucket shares the bucket's 256 ns
+  // slice. A bucket the dispatcher has not reached is a chain of blocks
+  // from the shared slab, filled in push order; only the last block of a
+  // chain is partly filled. The one visited bucket has an empty chain: its
+  // pending entries sit sorted in dispatch_[dispatch_head_..].
+  static constexpr std::uint32_t kBlockEntries = 15;
+  static constexpr std::uint32_t kNoBlock = UINT32_MAX;
+  struct Block {
+    HeapEntry entries[kBlockEntries];
+    std::uint32_t count = 0;
+    std::uint32_t next = kNoBlock;  // next block of the chain or free list
+  };
   struct Bucket {
-    std::vector<HeapEntry> entries;
-    std::uint32_t head = 0;
-    bool sorted = false;
-    void Reset() {
-      entries.clear();
-      head = 0;
-      sorted = false;
-    }
+    std::uint32_t first = kNoBlock;
+    std::uint32_t last = kNoBlock;
   };
   // A slot holds one pending one-shot callback. `gen` increments every time
   // the slot is released (executed or cancelled); heap entries and EventIds
@@ -208,6 +216,7 @@ class Simulator {
   static constexpr int kWheelShift = 8;
   static constexpr std::size_t kWheelBuckets = 1024;
   static constexpr std::size_t kWheelMask = kWheelBuckets - 1;
+  static constexpr std::size_t kNoBucket = kWheelBuckets;
   static constexpr std::size_t kOccWords = kWheelBuckets / 64;
   // The wheel engages (stickily, for the Simulator's lifetime) once the
   // overflow heap first reaches this many entries. Small runs — unit tests,
@@ -244,6 +253,8 @@ class Simulator {
   // Inserts an entry into the wheel (when within the near-horizon window of
   // Now()) or the overflow heap. `when` must be >= Now().
   void Push(const HeapEntry& e);
+  // Appends to bucket `idx`'s block chain.
+  void Append(std::size_t idx, const HeapEntry& e);
   EventId ScheduleImpl(Time when, std::uint64_t order,
                        UniqueFunction<void()> fn);
 
@@ -254,8 +265,8 @@ class Simulator {
     occupancy_[idx >> 6] &= ~(1ull << (idx & 63));
   }
   // First occupied masked bucket index in abs-bucket order starting at the
-  // bucket holding Now(); -1 when the wheel is empty.
-  int FindOccupiedBucket() const;
+  // bucket holding Now(); kNoBucket when the wheel is empty.
+  std::size_t FindOccupiedBucket() const;
 
   // Pops the earliest live event (pop-then-check: stale tops are popped and
   // discarded, which cannot reorder live events — a heap's top bounds all
@@ -265,31 +276,33 @@ class Simulator {
   bool PopNextLive(HeapEntry* out);
   // Where the earliest live event lives after pruning cancelled tops — the
   // peek-before-pop flavor for RunUntil / PeekNextTime / ExecuteBatch, which
-  // must see the live top's time before committing to dispatch it.
-  struct Peek {
-    enum class Src { kNone, kBucket, kOverflow } src = Src::kNone;
-    int bucket = -1;
-  };
+  // must see the live top's time before committing to dispatch it. A bucket
+  // top is always the visited bucket's head.
+  enum class Peek { kNone, kBucket, kOverflow };
   Peek Locate();
-  const HeapEntry& Top(const Peek& p) const {
-    if (p.src == Peek::Src::kBucket) {
-      const Bucket& b = buckets_[static_cast<std::size_t>(p.bucket)];
-      return b.entries[b.head];
-    }
-    return overflow_.front();
+  const HeapEntry& Top(Peek p) const {
+    return p == Peek::kBucket ? dispatch_[dispatch_head_] : overflow_.front();
   }
-  // Sorts bucket `idx` on the dispatcher's first visit; returns it.
-  Bucket& Visit(int idx);
-  // Removes the head entry of a visited bucket.
-  void PopBucketHead(int idx);
-  HeapEntry Pop(const Peek& p);
+  // Makes bucket `idx` the visited one and returns its head. On a change of
+  // bucket the previous visited bucket's remainder goes back into its chain
+  // (an event at Now() can land in a slice ahead of it), and `idx`'s chain
+  // moves into the dispatch array, sorted, its blocks freed.
+  const HeapEntry& Visit(std::size_t idx);
+  // Removes the visited bucket's head entry.
+  void PopVisitedHead();
+  HeapEntry Pop(Peek p);
   void Dispatch(const HeapEntry& entry);
 
-  std::vector<Bucket> buckets_;  // always kWheelBuckets wide
+  Bucket buckets_[kWheelBuckets];
   std::uint64_t occupancy_[kOccWords] = {};
+  std::vector<Block> blocks_;  // slab; chains and the free list index it
+  std::uint32_t free_block_ = kNoBlock;
+  std::vector<HeapEntry> dispatch_;  // the visited bucket, sorted
+  std::size_t dispatch_head_ = 0;
+  std::size_t visited_ = kNoBucket;
   std::vector<HeapEntry> overflow_;
   bool wheel_on_ = false;
-  std::size_t wheel_count_ = 0;  // entries currently in buckets_
+  std::size_t wheel_count_ = 0;  // entries in chains and dispatch_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<PinnedSlot[]>> pinned_chunks_;

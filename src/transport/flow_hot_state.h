@@ -100,7 +100,7 @@ class FlowHotArena {
   }
 
  private:
-  static constexpr std::size_t kRowChunkShift = 6;  // 64 rows per chunk
+  static constexpr std::size_t kRowChunkShift = 3;  // 8 rows per chunk
   static constexpr std::size_t kRowsPerChunk = std::size_t{1} << kRowChunkShift;
   static constexpr std::size_t kArenaChunkBytes = 4096;
   static constexpr std::size_t kArenaAlign = alignof(std::max_align_t);

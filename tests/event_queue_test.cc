@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -563,7 +564,10 @@ struct ReferenceBackend {
 // re-arms and timer restarts (later, earlier, same deadline, cancel), all
 // issued from inside dispatched callbacks so the two engines see the same
 // ops only while their dispatch sequences agree. `fillers` far-future
-// events are scheduled up front; enough of them engage the wheel.
+// events are scheduled up front; enough of them engage the wheel. Every
+// 1500th fire with `burst` > 0 also schedules `burst` one-shots into one
+// 256 ns slice (the wheel's bucket width), at most 100 slices ahead and
+// sometimes the slice being dispatched.
 struct MixResult {
   std::vector<std::pair<std::int64_t, int>> log;  // (time, label) per fire
   std::int64_t end = 0;
@@ -571,7 +575,7 @@ struct MixResult {
 };
 
 template <typename Backend>
-MixResult RunOpMix(std::uint64_t seed, int fillers) {
+MixResult RunOpMix(std::uint64_t seed, int fillers, int burst = 0) {
   constexpr int kPinned = 8;
   constexpr int kTimers = 16;
   constexpr int kBudget = 30'000;  // fires that still issue ops
@@ -693,6 +697,15 @@ MixResult RunOpMix(std::uint64_t seed, int fillers) {
       --live_count;
     }
     if (++fired > kBudget) return;
+    if (burst > 0 && fired % 1500 == 0) {
+      const std::int64_t slice =
+          ((b.Now() >> 8) + static_cast<std::int64_t>(next(100))) << 8;
+      for (int k = 0; k < burst; ++k) {
+        const std::int64_t when =
+            slice + static_cast<std::int64_t>(next(256));
+        b.Schedule(std::max<std::int64_t>(0, when - b.Now()), new_token());
+      }
+    }
     const int ops = 1 + static_cast<int>(next(3));
     for (int k = 0; k < ops; ++k) op(b);
     // Keep a working population so the mix runs its whole budget.
@@ -715,11 +728,25 @@ MixResult RunOpMix(std::uint64_t seed, int fillers) {
   return result;
 }
 
-void ExpectEngineMatchesReference(int fillers, bool engaged) {
+// Most fires that share one 256 ns slice in a dispatch log.
+std::size_t DensestSlice(const MixResult& result) {
+  std::map<std::int64_t, std::size_t> per_slice;
+  std::size_t densest = 0;
+  for (const auto& [when, label] : result.log) {
+    densest = std::max(densest, ++per_slice[when >> 8]);
+  }
+  return densest;
+}
+
+void ExpectEngineMatchesReference(int fillers, bool engaged, int burst = 0) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 0x5eedull}) {
     SCOPED_TRACE(seed);
-    const MixResult real = RunOpMix<RealBackend>(seed, fillers);
-    const MixResult reference = RunOpMix<ReferenceBackend>(seed, fillers);
+    const MixResult real = RunOpMix<RealBackend>(seed, fillers, burst);
+    const MixResult reference =
+        RunOpMix<ReferenceBackend>(seed, fillers, burst);
+    if (burst > 0) {
+      EXPECT_GT(DensestSlice(reference), 256u);
+    }
     EXPECT_EQ(real.wheel_engaged, engaged);
     ASSERT_GT(reference.log.size(), 30'000u);
     EXPECT_EQ(real.end, reference.end);
@@ -736,6 +763,198 @@ TEST(EngineDifferentialTest, SingleHeapMatchesReference) {
 
 TEST(EngineDifferentialTest, WheelMatchesReference) {
   ExpectEngineMatchesReference(/*fillers=*/5000, /*engaged=*/true);
+}
+
+// Slices holding more than 256 entries: many blocks per bucket chain, a
+// large sorted dispatch array, and pushes into it while it drains.
+TEST(EngineDifferentialTest, DenseSlicesMatchReference) {
+  ExpectEngineMatchesReference(/*fillers=*/5000, /*engaged=*/true,
+                               /*burst=*/300);
+}
+
+TEST(EngineDifferentialTest, DenseSlicesWithoutWheelMatchReference) {
+  ExpectEngineMatchesReference(/*fillers=*/0, /*engaged=*/false,
+                               /*burst=*/300);
+}
+
+// Two Simulators in sequence on one thread: the second adopts the first's
+// block slab and dispatch array, left behind with events still pending,
+// and must neither see those entries nor grow the storage again.
+TEST(EngineDifferentialTest, RecycledWheelStorageMatchesReference) {
+  std::size_t first_bytes = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 6000; ++i) {
+      sim.ScheduleAt(Time::Nanoseconds((i * 7919) % 200'000), [] {});
+    }
+    sim.RunUntil(Time::Microseconds(50));
+    ASSERT_TRUE(sim.wheel_engaged());
+    ASSERT_GT(sim.pending_events(), 1000u);
+    first_bytes = sim.wheel_storage_bytes();
+    ASSERT_GT(first_bytes, 0u);
+  }
+  std::size_t run_bytes = 0;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    const MixResult real = RunOpMix<RealBackend>(7, 5000, 300);
+    const MixResult reference = RunOpMix<ReferenceBackend>(7, 5000, 300);
+    ASSERT_EQ(real.log.size(), reference.log.size());
+    for (std::size_t i = 0; i < real.log.size(); ++i) {
+      ASSERT_EQ(real.log[i], reference.log[i]) << "at dispatch " << i;
+    }
+    Simulator probe;  // adopts what the op mix's Simulator left behind
+    if (run == 0) {
+      run_bytes = probe.wheel_storage_bytes();
+      EXPECT_GE(run_bytes, first_bytes);
+    } else {
+      EXPECT_EQ(probe.wheel_storage_bytes(), run_bytes);
+    }
+  }
+}
+
+// --- Pooled calendar ----------------------------------------------------
+
+// Schedules `count` events spread over the 256 ns slice that holds `when`,
+// in shuffled time order, each logging (time, schedule index).
+struct OrderLog {
+  Simulator* sim = nullptr;
+  std::vector<std::pair<std::int64_t, int>> expected;
+  std::vector<std::pair<std::int64_t, int>> actual;
+  std::function<void()> on_fire;  // runs inside every logged event
+
+  void At(std::int64_t when_ns) {
+    const int label = static_cast<int>(expected.size());
+    const std::int64_t when = std::max(when_ns, sim->Now().ns());
+    expected.emplace_back(when, label);
+    sim->ScheduleAt(Time::Nanoseconds(when), [this, when, label] {
+      actual.emplace_back(when, label);
+      if (on_fire) on_fire();
+    });
+  }
+  void Slice(std::int64_t when_ns, int count) {
+    const std::int64_t base = (when_ns >> 8) << 8;
+    for (int k = 0; k < count; ++k) At(base + (k * 97) % 256);
+  }
+  void EngageWheel() {
+    // Far-future fillers fill the overflow heap past its engagement size.
+    for (int i = 0; i < 4200; ++i) At(1'000'000'000 + i);
+    ASSERT_TRUE(sim->wheel_engaged());
+  }
+  std::vector<std::pair<std::int64_t, int>> Sorted() const {
+    auto sorted = expected;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    return sorted;
+  }
+};
+
+TEST(PooledCalendarTest, OverflowEventAtNowStepsBackAheadOfVisitedBucket) {
+  // The dispatcher visits the 20 us slice, but an overflow event at 10 us
+  // wins and schedules into the 10 us slice, ahead of the visited one, and
+  // into the visited slice itself. The visited remainder must go back to
+  // its chain and return in (when, order) order after the earlier slice.
+  Simulator sim;
+  OrderLog log{&sim, {}, {}, {}};
+  bool stepped = false;
+  sim.ScheduleAt(Time::Microseconds(10), [&] {
+    log.actual.emplace_back(-1, -1);
+    log.Slice(20'000, 40);  // into the visited bucket's dispatch array
+    log.Slice(10'000, 30);  // the slice holding Now()
+    log.At(10'000);
+    log.Slice(15'000, 20);
+    stepped = true;
+  });
+  log.EngageWheel();
+  log.Slice(20'000, 300);
+  log.on_fire = [&] {
+    // Pushes into the stepped-back slice's chain and the visited one.
+    if (log.actual.size() % 50 == 0) {
+      log.At(sim.Now().ns() + 100);
+      log.At(20'100);
+    }
+  };
+  sim.Run();
+  ASSERT_TRUE(stepped);
+  auto expected = log.Sorted();
+  // The 10 us event itself runs first of all logged events.
+  expected.insert(expected.begin(), {-1, -1});
+  EXPECT_EQ(log.actual, expected);
+  EXPECT_EQ(sim.live_events(), 0u);
+}
+
+TEST(PooledCalendarTest, RunUntilStopAheadOfVisitedBucketStepsBack) {
+  // RunUntil peeks the 20 us slice (visiting it) but stops at 5 us because
+  // an overflow event sits at 10 us; events then scheduled at Now() land
+  // ahead of the visited bucket.
+  Simulator sim;
+  OrderLog log{&sim, {}, {}, {}};
+  log.At(10'000);
+  log.EngageWheel();
+  log.Slice(20'000, 300);
+  sim.RunUntil(Time::Microseconds(5));
+  ASSERT_EQ(sim.Now(), Time::Microseconds(5));
+  ASSERT_TRUE(log.actual.empty());
+  log.Slice(5'000, 25);
+  log.Slice(20'000, 25);
+  log.Slice(6'000, 25);
+  Time next;
+  ASSERT_TRUE(sim.PeekNextTime(&next));
+  EXPECT_EQ(next, Time::Microseconds(5));  // the slice's start, clamped
+  sim.Run();
+  EXPECT_EQ(log.actual, log.Sorted());
+}
+
+// A train of 300-entry bursts that sweeps every bucket of the wheel
+// twice: burst(s) runs four slices ahead of slice s, so only a few bursts
+// are pending at once. Returns the wheel's storage bytes at the end.
+struct SweepResult {
+  std::size_t bytes = 0;
+  std::size_t peak_pending = 0;
+  std::int64_t fired = 0;
+};
+
+SweepResult SweepWheelWithBursts() {
+  SweepResult result;
+  Simulator sim;
+  for (int i = 0; i < 4200; ++i) {
+    sim.ScheduleAt(Time::Seconds(1) + Time::Nanoseconds(i), [] {});
+  }
+  std::function<void(std::int64_t)> burst = [&](std::int64_t slice) {
+    for (int k = 0; k < 300; ++k) {
+      sim.ScheduleAt(Time::Nanoseconds((slice << 8) + (k * 37) % 256),
+                     [&result] { ++result.fired; });
+    }
+    result.peak_pending =
+        std::max(result.peak_pending, sim.pending_events() - 4200);
+    if (slice < 2 * 1024) {
+      sim.ScheduleAt(Time::Nanoseconds((slice - 3) << 8),
+                     [&burst, slice] { burst(slice + 1); });
+    }
+  };
+  sim.ScheduleAt(Time::Zero(), [&burst] { burst(4); });
+  sim.RunUntil(Time::Milliseconds(1));
+  EXPECT_TRUE(sim.wheel_engaged());
+  result.bytes = sim.wheel_storage_bytes();
+  return result;
+}
+
+TEST(PooledCalendarTest, WheelStorageFollowsPendingSetNotBucketPeaks) {
+  // Storage must track the pending peak; keeping each bucket's own peak
+  // would hold 1024 x 300 entries (7.4 MB). The sweep gets a thread of its
+  // own, whose recycled-storage cache starts empty.
+  SweepResult sweep;
+  std::thread([&sweep] { sweep = SweepWheelWithBursts(); }).join();
+  EXPECT_EQ(sweep.fired, 300 * 2045);
+  EXPECT_GT(sweep.peak_pending, 1000u);
+  EXPECT_LT(sweep.peak_pending, 2000u);
+  // Blocks hold 15 entries and the slab at most doubles past its need;
+  // the dispatch array holds the largest bucket. Four entry-sizes per
+  // pending entry leaves room for both and is still ~50x below the
+  // per-bucket peaks.
+  EXPECT_LE(sweep.bytes, 4 * 24 * sweep.peak_pending)
+      << "wheel bytes " << sweep.bytes;
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // runner — same-timestamp ties across lanes may resolve differently. These
 // tests pin exactly that contract, plus the conservative-window causality
 // guarantees of LaneSet and the runner's configuration restrictions.
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,6 +86,57 @@ TEST(LaneSetTest, MailboxAbsorptionOrdersByWhenThenPosterThenSeq) {
   const std::vector<int> expected = {10, 11, 20, 21, 30, 31};
   EXPECT_EQ(run_once(), expected);
   EXPECT_EQ(run_once(), expected);
+}
+
+// Lane 0 is heavy: it busy-waits late in every round, so it is the last to
+// reach the round barrier and the first to leave it. Right after each round
+// starts it posts an event to lane 1 for the middle of the next round.
+// Lane 1 schedules, early in every round, a local event for that same
+// time. A post made in round r must be absorbed at the start of round
+// r + 1, after lane 1's local event for that time took its order stamp, so
+// at every tie lane 1 runs its local event (logged +r) before the posted
+// one (logged -r) — however the threads are timed.
+std::vector<int> RunHeavyPosterRounds(int rounds) {
+  constexpr std::int64_t kWindowNs = 1000;
+  LaneSet lanes(2);
+  std::vector<int> log;
+  std::function<void(int)> poster = [&](int r) {
+    const Time next_mid =
+        Time::Nanoseconds((r + 1) * kWindowNs + kWindowNs / 2);
+    lanes.Post(0, 1, next_mid, [&log, r] { log.push_back(-(r + 1)); });
+    lanes.lane(0).ScheduleAt(Time::Nanoseconds(r * kWindowNs + 900), [] {
+      const auto end =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+      while (std::chrono::steady_clock::now() < end) {
+      }
+    });
+    lanes.lane(0).ScheduleAt(Time::Nanoseconds((r + 1) * kWindowNs + 1),
+                             [&poster, r] { poster(r + 1); });
+  };
+  std::function<void(int)> local = [&](int r) {
+    lanes.lane(1).ScheduleAt(
+        Time::Nanoseconds((r + 1) * kWindowNs + kWindowNs / 2),
+        [&log, r] { log.push_back(r + 1); });
+    lanes.lane(1).ScheduleAt(Time::Nanoseconds((r + 1) * kWindowNs + 1),
+                             [&local, r] { local(r + 1); });
+  };
+  lanes.lane(0).ScheduleAt(Time::Nanoseconds(1), [&poster] { poster(0); });
+  lanes.lane(1).ScheduleAt(Time::Nanoseconds(1), [&local] { local(0); });
+  lanes.Run(Time::Nanoseconds(rounds * kWindowNs),
+            Time::Nanoseconds(kWindowNs));
+  return log;
+}
+
+TEST(LaneSetTest, FastLanePostsNeverJoinASlowerLanesCurrentBatch) {
+  constexpr int kRounds = 100;
+  std::vector<int> expected;
+  for (int r = 1; r < kRounds; ++r) {
+    expected.push_back(r);
+    expected.push_back(-r);
+  }
+  for (int run = 0; run < 50; ++run) {
+    ASSERT_EQ(RunHeavyPosterRounds(kRounds), expected) << "run " << run;
+  }
 }
 
 TEST(FatTreeLaneShardingTest, LocalityAnnotationsAndLaneMapping) {
