@@ -36,7 +36,9 @@ class DeliveryQueue {
  public:
   DeliveryQueue(Simulator& sim, Deliver deliver)
       : sim_(sim), deliver_(std::move(deliver)) {
-    event_ = sim_.CreatePinned([this] { DeliverFront(); });
+    event_ = sim_.CreatePinned(
+        [](void* q) { static_cast<DeliveryQueue*>(q)->DeliverFront(); },
+        this);
   }
   ~DeliveryQueue() { sim_.DestroyPinned(event_); }
   DeliveryQueue(const DeliveryQueue&) = delete;
@@ -50,21 +52,23 @@ class DeliveryQueue {
       });
       return;
     }
-    Insert(Entry{deliver_at, sim_.ReserveOrder(), std::move(pkt), flag});
+    Insert(Entry{deliver_at, (sim_.ReserveOrder() << 1) | (flag ? 1u : 0u),
+                 std::move(pkt)});
   }
 
  private:
+  // 24 bytes: the flag rides in the low bit of the order key. Order stamps
+  // are unique, so comparing keys compares stamps.
   struct Entry {
     Time deliver_at;
-    std::uint64_t order = 0;
+    std::uint64_t key = 0;  // order << 1 | flag
     std::unique_ptr<Packet> pkt;
-    bool flag = false;
   };
   static constexpr std::size_t kInitialCapacity = 8;
 
   static bool Before(const Entry& a, const Entry& b) {
     return a.deliver_at < b.deliver_at ||
-           (a.deliver_at == b.deliver_at && a.order < b.order);
+           (a.deliver_at == b.deliver_at && a.key < b.key);
   }
   Entry& at(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
 
@@ -87,7 +91,7 @@ class DeliveryQueue {
 
   void ArmFront() {
     const Entry& front = at(0);
-    sim_.SchedulePinnedAtOrdered(event_, front.deliver_at, front.order);
+    sim_.SchedulePinnedAtOrdered(event_, front.deliver_at, front.key >> 1);
   }
 
   Entry PopFront() {
@@ -100,7 +104,7 @@ class DeliveryQueue {
   void DeliverFront() {
     Entry entry = PopFront();
     if (size_ != 0) ArmFront();
-    deliver_(std::move(entry.pkt), entry.flag);
+    deliver_(std::move(entry.pkt), (entry.key & 1) != 0);
   }
 
   void Grow() {

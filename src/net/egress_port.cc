@@ -15,7 +15,8 @@ EgressPort::EgressPort(Simulator& sim, DataRate rate, Time propagation_delay,
       disc_(std::move(disc)),
       wire_(sim, WireEnd{this}) {
   assert(disc_ != nullptr);
-  tx_event_ = sim_.CreatePinned([this] { FinishTx(); });
+  tx_event_ = sim_.CreatePinned(
+      [](void* port) { static_cast<EgressPort*>(port)->FinishTx(); }, this);
 }
 
 EgressPort::~EgressPort() { sim_.DestroyPinned(tx_event_); }

@@ -25,6 +25,8 @@
 
 namespace ecnsharp {
 
+// Named only by the BindChipHotState hooks below. The library never calls
+// them; they remain because benchmark decorators forward them.
 class ChipHotBlock;
 
 // Instantaneous occupancy of a queue (or of a whole multi-queue disc).
@@ -77,9 +79,7 @@ class AqmPolicy {
   // reconfiguration that changes it.
   virtual std::uint64_t fast_path_threshold() const { return 0; }
 
-  // Repoints the policy's mutable hot state (e.g. ECN#'s persistent-marker
-  // fields) into the chip-owned SoA block; default keeps internal fields.
-  // Called by the owning disc's own BindChipHotState.
+  // No-op, never called by the library (see ChipHotBlock above).
   virtual void BindChipHotState(ChipHotBlock& block) { (void)block; }
 };
 
@@ -115,11 +115,7 @@ class QueueDisc {
   bool IsEmpty() const { return Snapshot().packets == 0; }
   const QueueDiscStats& stats() const { return stats_; }
 
-  // Repoints this disc's hot occupancy counters (queue depth, queued bytes,
-  // and any policy hot state) into the chip-owned struct-of-arrays block
-  // (see net/chip_hot_state.h). Called once by the switch when the port is
-  // added; current counter values are copied into the block. Discs that
-  // don't opt in keep their internal fields — standalone use needs no block.
+  // No-op, never called by the library (see ChipHotBlock above).
   virtual void BindChipHotState(ChipHotBlock& block) { (void)block; }
 
   // Optional drop/mark tracing (non-owning; null disables). Ports forward

@@ -15,16 +15,19 @@
 // Range and default routes keep table memory independent of host count: a
 // k=32 fat-tree edge switch carries 16 exact routes plus one 16-way default
 // set instead of 8192 per-host entries per uplink.
+//
+// Table layout: every ECMP set is a contiguous run of one shared port-pointer
+// array, and the exact and range tables are sorted flat vectors of small
+// records pointing into it, so a lookup touches two or three dense lines
+// instead of a hash bucket, a node and a per-set vector.
 #ifndef ECNSHARP_NET_SWITCH_NODE_H_
 #define ECNSHARP_NET_SWITCH_NODE_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "net/chip_hot_state.h"
 #include "net/egress_port.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -34,15 +37,12 @@ namespace ecnsharp {
 class SwitchNode : public PacketSink {
  public:
   SwitchNode(Simulator& sim, std::string name, std::uint64_t ecmp_salt = 0)
-      : sim_(sim), name_(std::move(name)), ecmp_salt_(ecmp_salt) {}
+      : sim_(sim), ecmp_salt_(ecmp_salt), name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  // Installs an egress port; the switch owns it. The port's queue disc is
-  // bound into this switch's chip hot-state block, so all of the chip's
-  // queue occupancy counters live in one SoA array (see chip_hot_state.h).
+  // Installs an egress port; the switch owns it.
   EgressPort& AddPort(std::unique_ptr<EgressPort> port) {
-    port->queue_disc().BindChipHotState(hot_);
     ports_.push_back(std::move(port));
     return *ports_.back();
   }
@@ -51,18 +51,17 @@ class SwitchNode : public PacketSink {
   const EgressPort& port(std::size_t i) const { return *ports_.at(i); }
 
   // Adds `port` to the ECMP set for destination address `dst`.
-  void AddRoute(std::uint32_t dst, EgressPort& port) {
-    routes_[dst].push_back(&port);
-  }
+  void AddRoute(std::uint32_t dst, EgressPort& port);
 
   // Adds `port` to the ECMP set for every destination in [lo, hi]
   // (inclusive) that has no exact route. Ranges must either coincide with an
-  // existing range (extending its ECMP set) or be disjoint from all others.
+  // existing range (extending its ECMP set) or be disjoint from all others;
+  // anything else (or lo > hi) is a configuration error and exits 2.
   void AddRouteRange(std::uint32_t lo, std::uint32_t hi, EgressPort& port);
 
   // Adds `port` to the ECMP set used when neither an exact nor a range
   // route matches.
-  void AddDefaultRoute(EgressPort& port) { default_route_.push_back(&port); }
+  void AddDefaultRoute(EgressPort& port) { Widen(default_route_, port); }
 
   void HandlePacket(std::unique_ptr<Packet> pkt) override;
 
@@ -71,6 +70,8 @@ class SwitchNode : public PacketSink {
   // avalanches into the bucket choice, so structured key populations
   // (sequential addresses/ports) spread uniformly and consecutive salted
   // hops choose independently — no polarization. `buckets` must be > 0.
+  // The bucket is h % buckets; a power-of-two set (every fat-tree set) takes
+  // it with a mask instead of a 64-bit divide.
   static std::size_t EcmpBucket(std::uint64_t key_hash, std::uint64_t salt,
                                 std::size_t buckets) {
     std::uint64_t h = key_hash + salt * 0x9e3779b97f4a7c15ull;
@@ -79,15 +80,14 @@ class SwitchNode : public PacketSink {
     h ^= h >> 27;
     h *= 0x94d049bb133111ebull;
     h ^= h >> 31;
+    if ((buckets & (buckets - 1)) == 0) {
+      return static_cast<std::size_t>(h & (buckets - 1));
+    }
     return static_cast<std::size_t>(h % buckets);
   }
 
   std::uint64_t rx_packets() const { return rx_packets_; }
   std::uint64_t no_route_drops() const { return no_route_drops_; }
-
-  // This chip's hot-state block (queue occupancy rows in port-add order).
-  ChipHotBlock& chip_hot_state() { return hot_; }
-  const ChipHotBlock& chip_hot_state() const { return hot_; }
 
   // Locality tag for sharded event lanes: topologies annotate each switch
   // with the lane its events belong to (e.g. the fat-tree pod index).
@@ -95,26 +95,44 @@ class SwitchNode : public PacketSink {
   std::uint32_t locality_id() const { return locality_id_; }
 
  private:
+  // One ECMP set: route_ports_[first, first + count). Empty when count is 0.
+  struct PortSet {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+  struct ExactRoute {
+    std::uint32_t dst;
+    PortSet set;
+  };
   struct RangeRoute {
     std::uint32_t lo;
     std::uint32_t hi;  // inclusive
-    std::vector<EgressPort*> ports;
+    PortSet set;
   };
 
-  EgressPort& SelectEcmp(const std::vector<EgressPort*>& candidates,
-                         const FlowKey& flow) const;
-  const std::vector<EgressPort*>* LookupRange(std::uint32_t dst) const;
+  // Appends `port` to `set`, opening the set at the end of route_ports_ if
+  // it is empty and shifting every set stored after it otherwise.
+  void Widen(PortSet& set, EgressPort& port);
+  const PortSet* LookupExact(std::uint32_t dst) const;
+  const PortSet* LookupRange(std::uint32_t dst) const;
+  EgressPort& SelectEcmp(const PortSet& set, const FlowKey& flow) const {
+    const std::uint32_t i =
+        set.count == 1 ? 0
+                       : static_cast<std::uint32_t>(EcmpBucket(
+                             FlowKeyHash{}(flow), ecmp_salt_, set.count));
+    return *route_ports_[set.first + i];
+  }
 
   Simulator& sim_;
-  std::string name_;
   std::uint64_t ecmp_salt_;
-  std::vector<std::unique_ptr<EgressPort>> ports_;
-  std::unordered_map<std::uint32_t, std::vector<EgressPort*>> routes_;
+  std::vector<ExactRoute> exact_routes_;  // sorted by dst
   std::vector<RangeRoute> range_routes_;  // sorted by lo, pairwise disjoint
-  std::vector<EgressPort*> default_route_;
+  PortSet default_route_;
+  std::vector<EgressPort*> route_ports_;  // every set's ports, contiguous
   std::uint64_t rx_packets_ = 0;
   std::uint64_t no_route_drops_ = 0;
-  ChipHotBlock hot_;
+  std::vector<std::unique_ptr<EgressPort>> ports_;
+  std::string name_;
   std::uint32_t locality_id_ = 0;
 };
 

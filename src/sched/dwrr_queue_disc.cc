@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "net/chip_hot_state.h"
-
 namespace ecnsharp {
 
 DwrrQueueDisc::DwrrQueueDisc(
@@ -20,17 +18,12 @@ DwrrQueueDisc::DwrrQueueDisc(
     ClassState state;
     state.weight = c.weight;
     state.aqm = std::move(c.aqm);
+    state.aqm_threshold_mark =
+        state.aqm != nullptr &&
+        state.aqm->fast_path() == AqmFastPath::kThresholdMark;
+    state.aqm_threshold =
+        state.aqm_threshold_mark ? state.aqm->fast_path_threshold() : 0;
     classes_.push_back(std::move(state));
-  }
-  // classes_ is final now; point each class's counters at its own fields.
-  for (ClassState& cls : classes_) {
-    cls.packets = &cls.local_packets;
-    cls.bytes = &cls.local_bytes;
-    cls.aqm_threshold_mark =
-        cls.aqm != nullptr &&
-        cls.aqm->fast_path() == AqmFastPath::kThresholdMark;
-    cls.aqm_threshold =
-        cls.aqm_threshold_mark ? cls.aqm->fast_path_threshold() : 0;
   }
   if (!classifier_) {
     const std::size_t n = classes_.size();
@@ -81,7 +74,7 @@ bool DwrrQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
   }
   if (mq_ecn_total_bytes_ != 0) {
     const bool was_ce = pkt->IsCeMarked();
-    if (*cls.bytes + pkt->size_bytes > MqEcnThresholdBytes(idx)) {
+    if (cls.bytes + pkt->size_bytes > MqEcnThresholdBytes(idx)) {
       pkt->MarkCe();
     }
     if (!was_ce && pkt->IsCeMarked()) {
@@ -91,7 +84,7 @@ bool DwrrQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
   }
   if (cls.aqm_threshold_mark) {
     // Inlined kThresholdMark contract (see FifoQueueDisc::Enqueue).
-    if (*cls.bytes + pkt->size_bytes > cls.aqm_threshold &&
+    if (cls.bytes + pkt->size_bytes > cls.aqm_threshold &&
         !pkt->IsCeMarked()) {
       pkt->MarkCe();
       if (pkt->IsCeMarked()) {
@@ -101,7 +94,7 @@ bool DwrrQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
     }
   } else if (cls.aqm != nullptr) {
     const bool was_ce = pkt->IsCeMarked();
-    const QueueSnapshot snap{*cls.packets, *cls.bytes};
+    const QueueSnapshot snap{cls.packets, cls.bytes};
     if (!cls.aqm->AllowEnqueue(*pkt, snap, now)) {
       ++stats_.dropped_aqm;
       if (pool_ != nullptr) pool_->Release(cls.pool_queue, pkt->size_bytes);
@@ -114,8 +107,8 @@ bool DwrrQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
     }
   }
   pkt->enqueue_time = now;
-  ++*cls.packets;
-  *cls.bytes += pkt->size_bytes;
+  ++cls.packets;
+  cls.bytes += pkt->size_bytes;
   total_bytes_ += pkt->size_bytes;
   ++total_packets_;
   cls.queue.push_back(std::move(pkt));
@@ -132,8 +125,8 @@ bool DwrrQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
 
 std::unique_ptr<Packet> DwrrQueueDisc::PopFrom(ClassState& cls, Time now) {
   std::unique_ptr<Packet> pkt = cls.queue.pop_front();
-  --*cls.packets;
-  *cls.bytes -= pkt->size_bytes;
+  --cls.packets;
+  cls.bytes -= pkt->size_bytes;
   total_bytes_ -= pkt->size_bytes;
   --total_packets_;
   if (pool_ != nullptr) pool_->Release(cls.pool_queue, pkt->size_bytes);
@@ -144,7 +137,7 @@ std::unique_ptr<Packet> DwrrQueueDisc::PopFrom(ClassState& cls, Time now) {
   // kThresholdMark policies have no dequeue hook by contract.
   if (cls.aqm != nullptr && !cls.aqm_threshold_mark) {
     const bool was_ce = pkt->IsCeMarked();
-    const QueueSnapshot snap{*cls.packets, *cls.bytes};
+    const QueueSnapshot snap{cls.packets, cls.bytes};
     cls.aqm->OnDequeue(*pkt, snap, now, now - pkt->enqueue_time);
     if (!was_ce && pkt->IsCeMarked()) {
       ++stats_.ce_marked;
@@ -199,8 +192,8 @@ std::uint32_t DwrrQueueDisc::PurgeAll(Time now) {
   for (ClassState& cls : classes_) {
     while (!cls.queue.empty()) {
       std::unique_ptr<Packet> pkt = cls.queue.pop_front();
-      --*cls.packets;
-      *cls.bytes -= pkt->size_bytes;
+      --cls.packets;
+      cls.bytes -= pkt->size_bytes;
       total_bytes_ -= pkt->size_bytes;
       --total_packets_;
       if (pool_ != nullptr) pool_->Release(cls.pool_queue, pkt->size_bytes);
@@ -217,19 +210,7 @@ std::uint32_t DwrrQueueDisc::PurgeAll(Time now) {
 
 QueueSnapshot DwrrQueueDisc::ClassSnapshot(std::size_t cls) const {
   const ClassState& c = classes_.at(cls);
-  return QueueSnapshot{*c.packets, *c.bytes};
-}
-
-void DwrrQueueDisc::BindChipHotState(ChipHotBlock& block) {
-  // One SoA row per service class, in class order.
-  for (ClassState& cls : classes_) {
-    ChipHotBlock::QueueRow row = block.AllocQueueRow();
-    *row.packets = *cls.packets;
-    *row.bytes = *cls.bytes;
-    cls.packets = row.packets;
-    cls.bytes = row.bytes;
-    if (cls.aqm != nullptr) cls.aqm->BindChipHotState(block);
-  }
+  return QueueSnapshot{c.packets, c.bytes};
 }
 
 }  // namespace ecnsharp

@@ -51,7 +51,6 @@ class DwrrQueueDisc final : public QueueDisc {
   QueueSnapshot Snapshot() const override {
     return QueueSnapshot{total_packets_, total_bytes_};
   }
-  void BindChipHotState(ChipHotBlock& block) override;
 
   std::size_t class_count() const { return classes_.size(); }
   QueueSnapshot ClassSnapshot(std::size_t cls) const;
@@ -80,13 +79,8 @@ class DwrrQueueDisc final : public QueueDisc {
     // Cached AqmFastPath verdict for this class's policy.
     bool aqm_threshold_mark = false;
     std::uint64_t aqm_threshold = 0;
-    // Per-class occupancy, reached through pointers (see FifoQueueDisc):
-    // local by default, repointed into the chip SoA block on bind. The
-    // pointers are fixed up after classes_ stops moving (end of ctor).
-    std::uint32_t local_packets = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint32_t* packets = nullptr;
-    std::uint64_t* bytes = nullptr;
+    std::uint32_t packets = 0;
+    std::uint64_t bytes = 0;
   };
 
   std::unique_ptr<Packet> PopFrom(ClassState& cls, Time now);

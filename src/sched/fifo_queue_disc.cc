@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "net/chip_hot_state.h"
-
 namespace ecnsharp {
 
 std::uint32_t FifoQueueDisc::PurgeAll(Time now) {
@@ -14,23 +12,14 @@ std::uint32_t FifoQueueDisc::PurgeAll(Time now) {
   std::uint32_t n = 0;
   while (!queue_.empty()) {
     std::unique_ptr<Packet> pkt = queue_.pop_front();
-    --*packets_;
-    *bytes_ -= pkt->size_bytes;
+    --packets_;
+    bytes_ -= pkt->size_bytes;
     if (pool_ != nullptr) pool_->Release(pool_queue_, pkt->size_bytes);
     ++stats_.purged;
     ++n;
     if (tracer_ != nullptr) tracer_->OnPurge(*pkt, now, Snapshot());
   }
   return n;
-}
-
-void FifoQueueDisc::BindChipHotState(ChipHotBlock& block) {
-  ChipHotBlock::QueueRow row = block.AllocQueueRow();
-  *row.packets = *packets_;
-  *row.bytes = *bytes_;
-  packets_ = row.packets;
-  bytes_ = row.bytes;
-  if (aqm_ != nullptr) aqm_->BindChipHotState(block);
 }
 
 }  // namespace ecnsharp

@@ -4,10 +4,9 @@
 // (sojourn) marking via AqmPolicy::OnDequeue.
 //
 // Hot-path layout: the backlog lives in a PacketRing (contiguous raw
-// pointers, no per-node allocation), the depth/byte counters are reached
-// through pointers so BindChipHotState can repoint them into a chip-owned
-// SoA block, and threshold-marking AQMs (DCTCP-RED) are inlined via the
-// AqmFastPath contract instead of paying two virtual calls per packet.
+// pointers, no per-node allocation), and threshold-marking AQMs (DCTCP-RED)
+// are inlined via the AqmFastPath contract instead of paying two virtual
+// calls per packet.
 #ifndef ECNSHARP_SCHED_FIFO_QUEUE_DISC_H_
 #define ECNSHARP_SCHED_FIFO_QUEUE_DISC_H_
 
@@ -52,9 +51,8 @@ class FifoQueueDisc final : public QueueDisc {
   std::unique_ptr<Packet> Dequeue(Time now) override;
   std::uint32_t PurgeAll(Time now) override;
   QueueSnapshot Snapshot() const override {
-    return QueueSnapshot{*packets_, *bytes_};
+    return QueueSnapshot{packets_, bytes_};
   }
-  void BindChipHotState(ChipHotBlock& block) override;
 
   AqmPolicy* aqm() { return aqm_.get(); }
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
@@ -71,12 +69,8 @@ class FifoQueueDisc final : public QueueDisc {
   BufferPolicy* pool_ = nullptr;  // non-owning; null = static capacity
   std::size_t pool_queue_ = 0;    // this disc's queue id with the policy
   PacketRing queue_;
-  // Occupancy counters, reached through pointers: default to the local
-  // fields, repointed into the chip SoA block by BindChipHotState.
-  std::uint32_t local_packets_ = 0;
-  std::uint64_t local_bytes_ = 0;
-  std::uint32_t* packets_ = &local_packets_;
-  std::uint64_t* bytes_ = &local_bytes_;
+  std::uint32_t packets_ = 0;
+  std::uint64_t bytes_ = 0;
   // Cached AqmFastPath verdict (thresholds are fixed at construction).
   bool aqm_threshold_mark_ = false;
   std::uint64_t aqm_threshold_ = 0;
@@ -89,7 +83,7 @@ inline bool FifoQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
       if (tracer_ != nullptr) tracer_->OnDrop(*pkt, now, DropReason::kOverflow);
       return false;
     }
-  } else if (*bytes_ + pkt->size_bytes > capacity_bytes_) {
+  } else if (bytes_ + pkt->size_bytes > capacity_bytes_) {
     ++stats_.dropped_overflow;
     if (tracer_ != nullptr) tracer_->OnDrop(*pkt, now, DropReason::kOverflow);
     return false;
@@ -98,7 +92,7 @@ inline bool FifoQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
     // Inlined kThresholdMark contract: CE-mark when occupancy including this
     // packet exceeds K, never drop. Identical to the generic path below
     // running AqmPolicy::AllowEnqueue on a threshold marker.
-    if (*bytes_ + pkt->size_bytes > aqm_threshold_ && !pkt->IsCeMarked()) {
+    if (bytes_ + pkt->size_bytes > aqm_threshold_ && !pkt->IsCeMarked()) {
       pkt->MarkCe();  // no-op for non-ECT packets
       if (pkt->IsCeMarked()) {
         ++stats_.ce_marked;
@@ -119,8 +113,8 @@ inline bool FifoQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
     }
   }
   pkt->enqueue_time = now;
-  ++*packets_;
-  *bytes_ += pkt->size_bytes;
+  ++packets_;
+  bytes_ += pkt->size_bytes;
   queue_.push_back(std::move(pkt));
   ++stats_.enqueued;
   if (tracer_ != nullptr) tracer_->OnEnqueue(*queue_.back(), now, Snapshot());
@@ -130,8 +124,8 @@ inline bool FifoQueueDisc::Enqueue(std::unique_ptr<Packet> pkt, Time now) {
 inline std::unique_ptr<Packet> FifoQueueDisc::Dequeue(Time now) {
   if (queue_.empty()) return nullptr;
   std::unique_ptr<Packet> pkt = queue_.pop_front();
-  --*packets_;
-  *bytes_ -= pkt->size_bytes;
+  --packets_;
+  bytes_ -= pkt->size_bytes;
   if (pool_ != nullptr) pool_->Release(pool_queue_, pkt->size_bytes);
   ++stats_.dequeued;
   const Time sojourn = now - pkt->enqueue_time;

@@ -38,7 +38,6 @@ class SpQueueDisc final : public QueueDisc {
   QueueSnapshot Snapshot() const override {
     return QueueSnapshot{total_packets_, total_bytes_};
   }
-  void BindChipHotState(ChipHotBlock& block) override;
 
   std::size_t class_count() const { return classes_.size(); }
   QueueSnapshot ClassSnapshot(std::size_t cls) const;
@@ -51,12 +50,8 @@ class SpQueueDisc final : public QueueDisc {
     // Cached AqmFastPath verdict for this class's policy.
     bool aqm_threshold_mark = false;
     std::uint64_t aqm_threshold = 0;
-    // Per-class occupancy via pointers (see FifoQueueDisc); fixed up after
-    // classes_ stops moving (end of ctor).
-    std::uint32_t local_packets = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint32_t* packets = nullptr;
-    std::uint64_t* bytes = nullptr;
+    std::uint32_t packets = 0;
+    std::uint64_t bytes = 0;
   };
 
   std::uint64_t capacity_bytes_;

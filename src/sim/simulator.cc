@@ -21,14 +21,14 @@ constexpr std::uint64_t PackId(std::uint32_t slot, std::uint32_t gen) {
 // Capacity recycled between Simulator instances on the same thread. Sweeps
 // construct one Simulator per experiment on a worker thread; adopting the
 // previous instance's block slab, dispatch array, slot array, pinned
-// chunks, and free lists means only the first experiment grows them.
+// records, and free lists means only the first experiment grows them.
 struct Simulator::Storage {
   std::vector<Block> blocks;
   std::vector<HeapEntry> dispatch;
   std::vector<HeapEntry> overflow;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_slots;
-  std::vector<std::unique_ptr<PinnedSlot[]>> pinned_chunks;
+  std::vector<PinnedSlot> pinned;
   std::vector<std::uint32_t> free_pinned;
 };
 
@@ -44,7 +44,7 @@ Simulator::Simulator() {
   overflow_.swap(cache.overflow);
   slots_.swap(cache.slots);
   free_slots_.swap(cache.free_slots);
-  pinned_chunks_.swap(cache.pinned_chunks);
+  pinned_.swap(cache.pinned);
   free_pinned_.swap(cache.free_pinned);
   // A recycled slab keeps its capacity but hands blocks out from the front
   // again; the free list starts empty.
@@ -52,6 +52,7 @@ Simulator::Simulator() {
   dispatch_.clear();
   overflow_.clear();
   free_slots_.clear();
+  pinned_.clear();
   free_pinned_.clear();
   // Recycled slots keep their generation counters (ids never cross
   // Simulator instances, so stale tags are harmless) but start logically
@@ -60,22 +61,17 @@ Simulator::Simulator() {
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()) - 1 - i);
   }
-  pinned_count_ = 0;
   wheel_on_ = false;
   wheel_count_ = 0;
 }
 
 Simulator::~Simulator() {
   for (auto& s : slots_) s.fn = nullptr;
-  for (std::uint32_t i = 0; i < pinned_count_; ++i) {
-    PinnedSlot& p = pinned(i);
-    p.fn = nullptr;
-    p.armed = false;
-  }
   blocks_.clear();
   dispatch_.clear();
   overflow_.clear();
   free_slots_.clear();
+  pinned_.clear();
   free_pinned_.clear();
   Storage& cache = ThreadStorageCache();
   if (blocks_.capacity() > cache.blocks.capacity()) blocks_.swap(cache.blocks);
@@ -89,9 +85,7 @@ Simulator::~Simulator() {
   if (free_slots_.capacity() > cache.free_slots.capacity()) {
     free_slots_.swap(cache.free_slots);
   }
-  if (pinned_chunks_.size() > cache.pinned_chunks.size()) {
-    pinned_chunks_.swap(cache.pinned_chunks);
-  }
+  if (pinned_.capacity() > cache.pinned.capacity()) pinned_.swap(cache.pinned);
   if (free_pinned_.capacity() > cache.free_pinned.capacity()) {
     free_pinned_.swap(cache.free_pinned);
   }
@@ -215,20 +209,18 @@ void Simulator::Cancel(EventId id) {
   --live_count_;
 }
 
-PinnedEventId Simulator::CreatePinned(UniqueFunction<void()> fn) {
+PinnedEventId Simulator::CreatePinned(PinnedFn fn, void* arg) {
   std::uint32_t s_idx;
   if (!free_pinned_.empty()) {
     s_idx = free_pinned_.back();
     free_pinned_.pop_back();
   } else {
-    if ((pinned_count_ >> kPinnedChunkShift) == pinned_chunks_.size()) {
-      pinned_chunks_.push_back(
-          std::make_unique<PinnedSlot[]>(kPinnedChunkSize));
-    }
-    s_idx = pinned_count_++;
+    s_idx = static_cast<std::uint32_t>(pinned_.size());
+    pinned_.emplace_back();
   }
-  PinnedSlot& p = pinned(s_idx);
-  p.fn = std::move(fn);
+  PinnedSlot& p = pinned_[s_idx];
+  p.fn = fn;
+  p.arg = arg;
   p.armed = false;
   return PinnedEventId{s_idx};
 }
@@ -240,7 +232,7 @@ void Simulator::SchedulePinnedAt(PinnedEventId id, Time when) {
 void Simulator::SchedulePinnedAtOrdered(PinnedEventId id, Time when,
                                         std::uint64_t order) {
   assert(id.valid() && order < next_order_);
-  PinnedSlot& p = pinned(id.slot);
+  PinnedSlot& p = pinned_[id.slot];
   assert(!p.armed);
   if (when < now_) when = now_;
   Push(HeapEntry{when, order, id.slot | kPinnedBit, p.gen});
@@ -250,7 +242,7 @@ void Simulator::SchedulePinnedAtOrdered(PinnedEventId id, Time when,
 
 void Simulator::CancelPinned(PinnedEventId id) {
   if (!id.valid()) return;
-  PinnedSlot& p = pinned(id.slot);
+  PinnedSlot& p = pinned_[id.slot];
   if (!p.armed) return;
   ++p.gen;  // stale-ifies the armed heap entry
   p.armed = false;
@@ -258,15 +250,16 @@ void Simulator::CancelPinned(PinnedEventId id) {
 }
 
 bool Simulator::PinnedArmed(PinnedEventId id) const {
-  return id.valid() && pinned(id.slot).armed;
+  return id.valid() && pinned_[id.slot].armed;
 }
 
 void Simulator::DestroyPinned(PinnedEventId id) {
   if (!id.valid()) return;
   CancelPinned(id);
-  PinnedSlot& p = pinned(id.slot);
+  PinnedSlot& p = pinned_[id.slot];
   ++p.gen;  // belt and braces: any aliasing heap entry is stale
   p.fn = nullptr;
+  p.arg = nullptr;
   free_pinned_.push_back(id.slot);
 }
 
@@ -434,11 +427,14 @@ void Simulator::Dispatch(const HeapEntry& entry) {
     free_slots_.push_back(entry.slot);
     fn();
   } else {
-    // Pinned: chunk-stable storage, run in place, zero closure churn. The
-    // callback may re-arm its own occurrence.
-    PinnedSlot& p = pinned(entry.slot & ~kPinnedBit);
+    // Pinned: zero closure churn. The callback may re-arm its own
+    // occurrence or register more pinned events (fn and arg are copied
+    // first, so a grown vector is harmless).
+    PinnedSlot& p = pinned_[entry.slot & ~kPinnedBit];
     p.armed = false;
-    p.fn();
+    const PinnedFn fn = p.fn;
+    void* const arg = p.arg;
+    fn(arg);
   }
   ++events_executed_;
 }

@@ -29,16 +29,16 @@
 // The hot path is allocation- and hash-free: callbacks are stored in a
 // recycled slot array, the heaps order POD entries only, and cancellation is
 // an O(1) generation-tag bump (no hash-set bookkeeping). Recurring events
-// (egress serialization, wire arrivals) can be *pinned*: the callback is
-// registered once in chunk-stable storage and re-armed per occurrence, so a
-// million packet transmissions build zero closures. Slot, heap, block and
-// free-list storage is recycled across Simulator instances on the same
+// (egress serialization, wire arrivals) can be *pinned*: a function pointer
+// and its object are registered once in a 24-byte record and re-armed per
+// occurrence, so a million packet transmissions build zero closures and a
+// k=16 fabric's pinned records fit in a few hundred KB. Slot, heap, block
+// and free-list storage is recycled across Simulator instances on the same
 // thread, so the Nth experiment of a sweep pays no warm-up allocations.
 #ifndef ECNSHARP_SIM_SIMULATOR_H_
 #define ECNSHARP_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/time.h"
@@ -98,11 +98,13 @@ class Simulator {
   void Cancel(EventId id);
 
   // --- Pinned events ------------------------------------------------------
-  // A pinned event owns its callback for the lifetime of the registration;
-  // arming an occurrence moves no closure and allocates nothing. At most one
+  // A pinned event calls fn(arg) at each occurrence; `arg` (usually the
+  // object that owns the registration) must stay valid until DestroyPinned.
+  // Arming an occurrence moves no closure and allocates nothing. At most one
   // occurrence may be armed at a time (re-arm from inside the callback is
   // fine — the occurrence has un-armed by then).
-  PinnedEventId CreatePinned(UniqueFunction<void()> fn);
+  using PinnedFn = void (*)(void*);
+  PinnedEventId CreatePinned(PinnedFn fn, void* arg);
   void SchedulePinnedAt(PinnedEventId id, Time when);
   void SchedulePinnedAtOrdered(PinnedEventId id, Time when,
                                std::uint64_t order);
@@ -199,16 +201,17 @@ class Simulator {
     UniqueFunction<void()> fn;
     std::uint32_t gen = 0;
   };
-  // Pinned registrations live in fixed-size chunks so their addresses are
-  // stable: the callback runs in place, with no per-occurrence move, even if
-  // registering more pinned events grows the arena mid-callback. One-shot
-  // slots stay in a flat vector (dispatch moves the callback out before
-  // running it), keeping that hotter path a single indexed load.
+  // A pinned registration: a plain record in one flat vector. Dispatch
+  // copies fn and arg out before calling, so a callback that registers more
+  // pinned events (growing the vector) is safe.
   struct PinnedSlot {
-    UniqueFunction<void()> fn;
+    PinnedFn fn = nullptr;
+    void* arg = nullptr;
     std::uint32_t gen = 0;
     bool armed = false;
   };
+  static_assert(sizeof(PinnedSlot) <= 32,
+                "a pinned slot must stay within half a cache line");
 
   // Near-horizon window: 1024 buckets of 256 ns cover 262 us —
   // serialization and propagation timescales land here; protocol timers
@@ -230,24 +233,14 @@ class Simulator {
   // entries never migrate on engagement.
   static constexpr std::size_t kWheelEngagePending = 4096;
 
-  static constexpr std::uint32_t kPinnedChunkShift = 6;
-  static constexpr std::uint32_t kPinnedChunkSize = 1u << kPinnedChunkShift;
-  static constexpr std::uint32_t kPinnedChunkMask = kPinnedChunkSize - 1;
-
   struct Storage;  // thread-local capacity cache, defined in simulator.cc
 
   static Storage& ThreadStorageCache();
 
-  PinnedSlot& pinned(std::uint32_t i) {
-    return pinned_chunks_[i >> kPinnedChunkShift][i & kPinnedChunkMask];
-  }
-  const PinnedSlot& pinned(std::uint32_t i) const {
-    return pinned_chunks_[i >> kPinnedChunkShift][i & kPinnedChunkMask];
-  }
   bool EntryLive(const HeapEntry& e) const {
     return (e.slot & kPinnedBit) == 0
                ? slots_[e.slot].gen == e.gen
-               : pinned(e.slot & ~kPinnedBit).gen == e.gen;
+               : pinned_[e.slot & ~kPinnedBit].gen == e.gen;
   }
 
   // Inserts an entry into the wheel (when within the near-horizon window of
@@ -305,8 +298,7 @@ class Simulator {
   std::size_t wheel_count_ = 0;  // entries in chains and dispatch_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::unique_ptr<PinnedSlot[]>> pinned_chunks_;
-  std::uint32_t pinned_count_ = 0;
+  std::vector<PinnedSlot> pinned_;
   std::vector<std::uint32_t> free_pinned_;
   std::size_t live_count_ = 0;
   Time now_ = Time::Zero();

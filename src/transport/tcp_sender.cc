@@ -21,26 +21,10 @@ TcpSender::TcpSender(Host& host, const TcpConfig& config, FlowKey flow,
       rto_timer_(host.sim(), [this] { OnRtoExpired(); }),
       pace_timer_(host.sim(), [this] { PacedSend(); }) {
   assert(flow_size_ > 0);
-  (*cwnd_) = static_cast<double>(config_.init_cwnd_segments) * config_.mss;
-  (*ssthresh_) = static_cast<double>(config_.max_cwnd_bytes);
+  cwnd_ = static_cast<double>(config_.init_cwnd_segments) * config_.mss;
+  ssthresh_ = static_cast<double>(config_.max_cwnd_bytes);
   record_.flow = flow_;
   record_.size_bytes = flow_size_;
-}
-
-void TcpSender::BindFlowHotState(FlowHotArena& arena) {
-  const FlowHotRow row = arena.AllocRow();
-  *row.cwnd = *cwnd_;
-  *row.ssthresh = *ssthresh_;
-  *row.srtt = *srtt_;
-  *row.rttvar = *rttvar_;
-  *row.probe_sent_at = *probe_sent_at_;
-  *row.rtt_valid = *rtt_valid_;
-  cwnd_ = row.cwnd;
-  ssthresh_ = row.ssthresh;
-  srtt_ = row.srtt;
-  rttvar_ = row.rttvar;
-  probe_sent_at_ = row.probe_sent_at;
-  rtt_valid_ = row.rtt_valid;
 }
 
 void TcpSender::Start() {
@@ -56,7 +40,7 @@ void TcpSender::SendAvailable() {
     PacedSend();
     return;
   }
-  const auto cwnd = static_cast<std::uint64_t>((*cwnd_));
+  const auto cwnd = static_cast<std::uint64_t>(cwnd_);
   while (snd_nxt_ < flow_size_) {
     const std::uint64_t in_flight = snd_nxt_ - snd_una_;
     const std::uint64_t payload =
@@ -70,7 +54,7 @@ void TcpSender::SendAvailable() {
 void TcpSender::PacedSend() {
   if (complete_ || pace_timer_.pending()) return;
   if (snd_nxt_ >= flow_size_) return;
-  const auto cwnd = static_cast<std::uint64_t>((*cwnd_));
+  const auto cwnd = static_cast<std::uint64_t>(cwnd_);
   const std::uint64_t payload =
       std::min<std::uint64_t>(config_.mss, flow_size_ - snd_nxt_);
   if (snd_nxt_ - snd_una_ + payload > cwnd) return;  // ACKs will re-kick us
@@ -79,9 +63,9 @@ void TcpSender::PacedSend() {
   if (snd_nxt_ >= flow_size_) return;
   // Space the next transmission at pacing_gain * cwnd per srtt.
   Time gap;
-  if ((*rtt_valid_) && (*srtt_).IsPositive()) {
+  if (rtt_valid_ && srtt_.IsPositive()) {
     const double rate_bytes_per_s =
-        config_.pacing_gain * (*cwnd_) / (*srtt_).ToSeconds();
+        config_.pacing_gain * cwnd_ / srtt_.ToSeconds();
     gap = Time::FromSeconds(static_cast<double>(payload) /
                             std::max(rate_bytes_per_s, 1.0));
   } else {
@@ -120,7 +104,7 @@ void TcpSender::SendSegment(std::uint64_t seq, bool is_retransmit) {
     // ACK for a re-covered range may belong to the original transmission.
     probe_armed_ = true;
     probe_seq_end_ = seq + payload;
-    (*probe_sent_at_) = host_.sim().Now();
+    probe_sent_at_ = host_.sim().Now();
   }
   sent_high_ = std::max(sent_high_, seq + payload);
   host_.SendPacket(std::move(pkt));
@@ -142,7 +126,7 @@ void TcpSender::OnNewDataAcked(std::uint64_t ack_no, bool ece) {
 
   if (probe_armed_ && ack_no >= probe_seq_end_) {
     probe_armed_ = false;
-    UpdateRttEstimate(host_.sim().Now() - (*probe_sent_at_));
+    UpdateRttEstimate(host_.sim().Now() - probe_sent_at_);
   }
   // New-data ACK progress ends the backed-off regime (BSD/Linux practice) —
   // but only once an RTT sample exists. Waiting for a fresh sample instead
@@ -154,7 +138,7 @@ void TcpSender::OnNewDataAcked(std::uint64_t ack_no, bool ece) {
   // cancels the probe, so clearing the backoff here would re-arm the 1-RTT
   // death spiral forever — the backoff is the only thing that lets the first
   // probe ACK arrive before the timer.
-  if (*rtt_valid_) rto_backoff_ = 0;
+  if (rtt_valid_) rto_backoff_ = 0;
   dupacks_ = 0;
 
   switch (config_.ecn_mode) {
@@ -173,22 +157,22 @@ void TcpSender::OnNewDataAcked(std::uint64_t ack_no, bool ece) {
   if (in_fast_recovery_) {
     if (snd_una_ >= recover_point_) {
       in_fast_recovery_ = false;
-      (*cwnd_) = (*ssthresh_);
+      cwnd_ = ssthresh_;
     } else {
       // NewReno partial ACK: the next hole is lost too — retransmit it and
       // stay in recovery without waiting for more dupacks.
       SendSegment(snd_una_, /*is_retransmit=*/true);
     }
   } else {
-    if ((*cwnd_) < (*ssthresh_)) {
+    if (cwnd_ < ssthresh_) {
       // Slow start with full byte counting (Linux tcp_slow_start): cwnd
       // grows by the bytes newly acked, so the window doubles per RTT even
       // under delayed ACKs.
-      (*cwnd_) += static_cast<double>(newly);
+      cwnd_ += static_cast<double>(newly);
     } else {
       CongestionAvoidanceIncrease(newly);
     }
-    (*cwnd_) = std::min((*cwnd_), static_cast<double>(config_.max_cwnd_bytes));
+    cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_cwnd_bytes));
   }
 
   EmitCwnd();
@@ -204,17 +188,17 @@ void TcpSender::OnDupAck() {
   ++dupacks_;
   if (in_fast_recovery_) {
     // Window inflation keeps the pipe full while the hole is repaired.
-    (*cwnd_) += config_.mss;
+    cwnd_ += config_.mss;
     EmitCwnd();
     SendAvailable();
     return;
   }
   if (dupacks_ >= config_.dupack_threshold) {
     ++record_.fast_retransmits;
-    (*ssthresh_) = SsthreshAfterLoss();
+    ssthresh_ = SsthreshAfterLoss();
     in_fast_recovery_ = true;
     recover_point_ = snd_nxt_;
-    (*cwnd_) = (*ssthresh_) + 3.0 * config_.mss;
+    cwnd_ = ssthresh_ + 3.0 * config_.mss;
     EmitCwnd();
     SendSegment(snd_una_, /*is_retransmit=*/true);
     RestartRtoTimer();
@@ -228,8 +212,8 @@ void TcpSender::OnRtoExpired() {
   if (tracer_ != nullptr) {
     tracer_->OnRto(flow_, host_.sim().Now(), rto_backoff_);
   }
-  (*ssthresh_) = SsthreshAfterLoss();
-  (*cwnd_) = config_.mss;
+  ssthresh_ = SsthreshAfterLoss();
+  cwnd_ = config_.mss;
   dupacks_ = 0;
   in_fast_recovery_ = false;
   EmitCwnd();
@@ -245,8 +229,8 @@ void TcpSender::RestartRtoTimer() { rto_timer_.Schedule(CurrentRto()); }
 
 Time TcpSender::CurrentRto() const {
   Time base = config_.min_rto;
-  if ((*rtt_valid_)) {
-    base = std::max(config_.min_rto, (*srtt_) + 4 * (*rttvar_));
+  if (rtt_valid_) {
+    base = std::max(config_.min_rto, srtt_ + 4 * rttvar_);
   }
   // Exponential backoff under consecutive timeouts.
   for (std::uint32_t i = 0; i < rto_backoff_ && base < config_.max_rto; ++i) {
@@ -259,15 +243,15 @@ void TcpSender::UpdateRttEstimate(Time sample) {
   if (tracer_ != nullptr) {
     tracer_->OnRttSample(flow_, host_.sim().Now(), sample);
   }
-  if (!(*rtt_valid_)) {
-    (*rtt_valid_) = true;
-    (*srtt_) = sample;
-    (*rttvar_) = sample / 2;
+  if (!rtt_valid_) {
+    rtt_valid_ = true;
+    srtt_ = sample;
+    rttvar_ = sample / 2;
     return;
   }
-  const Time err = sample > (*srtt_) ? sample - (*srtt_) : (*srtt_) - sample;
-  (*rttvar_) = ((*rttvar_) * 3 + err) / 4;
-  (*srtt_) = ((*srtt_) * 7 + sample) / 8;
+  const Time err = sample > srtt_ ? sample - srtt_ : srtt_ - sample;
+  rttvar_ = (rttvar_ * 3 + err) / 4;
+  srtt_ = (srtt_ * 7 + sample) / 8;
 }
 
 void TcpSender::HandleEceClassic() {
@@ -298,30 +282,30 @@ void TcpSender::DctcpWindowUpdate(std::uint64_t newly_acked, bool ece) {
 }
 
 void TcpSender::CongestionAvoidanceIncrease(std::uint64_t newly_acked) {
-  (*cwnd_) += static_cast<double>(config_.mss) *
-           static_cast<double>(newly_acked) / (*cwnd_);
+  cwnd_ += static_cast<double>(config_.mss) *
+           static_cast<double>(newly_acked) / cwnd_;
 }
 
 double TcpSender::SsthreshAfterLoss() {
-  return std::max((*cwnd_) / 2.0, 2.0 * config_.mss);
+  return std::max(cwnd_ / 2.0, 2.0 * config_.mss);
 }
 
 void TcpSender::ReduceWindowOnEcn(double factor) {
-  (*cwnd_) = std::max((*cwnd_) * (1.0 - factor),
+  cwnd_ = std::max(cwnd_ * (1.0 - factor),
                    static_cast<double>(config_.mss));
-  (*ssthresh_) = (*cwnd_);
+  ssthresh_ = cwnd_;
   cwr_pending_ = true;
   EmitCwnd();
 }
 
 void TcpSender::EmitCwnd() {
   if (tracer_ == nullptr) return;
-  if ((*cwnd_) == last_cwnd_emitted_ && (*ssthresh_) == last_ssthresh_emitted_) {
+  if (cwnd_ == last_cwnd_emitted_ && ssthresh_ == last_ssthresh_emitted_) {
     return;
   }
-  last_cwnd_emitted_ = (*cwnd_);
-  last_ssthresh_emitted_ = (*ssthresh_);
-  tracer_->OnCwnd(flow_, host_.sim().Now(), (*cwnd_), (*ssthresh_));
+  last_cwnd_emitted_ = cwnd_;
+  last_ssthresh_emitted_ = ssthresh_;
+  tracer_->OnCwnd(flow_, host_.sim().Now(), cwnd_, ssthresh_);
 }
 
 void TcpSender::Complete() {

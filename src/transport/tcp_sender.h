@@ -16,7 +16,6 @@
 #include "net/packet.h"
 #include "sim/timer.h"
 #include "trace/transport_tracer.h"
-#include "transport/flow_hot_state.h"
 #include "transport/tcp_config.h"
 
 namespace ecnsharp {
@@ -49,12 +48,6 @@ class TcpSender {
   // before Start() so the initial window is recorded.
   void set_tracer(TransportTracer* tracer) { tracer_ = tracer; }
 
-  // Re-homes the hot congestion-control fields into `arena` (current values
-  // are copied, then all arithmetic runs on the arena's SoA row). Called by
-  // TcpStack before Start(); standalone senders keep their local storage and
-  // behave identically. Must not be called twice.
-  virtual void BindFlowHotState(FlowHotArena& arena);
-
   // Begins transmission (sends the initial window).
   void Start();
 
@@ -64,7 +57,7 @@ class TcpSender {
   bool complete() const { return complete_; }
   const FlowKey& flow() const { return flow_; }
   const FlowRecord& record() const { return record_; }
-  double cwnd_bytes() const { return *cwnd_; }
+  double cwnd_bytes() const { return cwnd_; }
   double dctcp_alpha() const { return dctcp_alpha_; }
   std::uint64_t bytes_acked() const { return snd_una_; }
 
@@ -86,30 +79,14 @@ class TcpSender {
   TcpConfig config_;
   FlowRecord record_;
 
-  // Hot congestion-control state, reached through pointers. They default to
-  // the local fallback block below; BindFlowHotState repoints them into a
-  // TcpStack's FlowHotArena SoA row. Senders are heap-pinned (owned via
-  // unique_ptr, never copied or moved), so the self-referential defaults are
-  // safe.
-  //
-  // Local fallback storage for unbound (standalone) senders.
-  struct LocalHot {
-    double cwnd = 0.0;
-    double ssthresh = 0.0;
-    Time srtt = Time::Zero();
-    Time rttvar = Time::Zero();
-    Time probe_sent_at = Time::Zero();
-    bool rtt_valid = false;
-  } local_;
-
   // Congestion control (bytes).
-  double* cwnd_ = &local_.cwnd;
-  double* ssthresh_ = &local_.ssthresh;
+  double cwnd_ = 0.0;
+  double ssthresh_ = 0.0;
 
   // RTT estimate, shared with derived controllers (CUBIC's TCP-friendly
   // region needs srtt_).
-  bool* rtt_valid_ = &local_.rtt_valid;
-  Time* srtt_ = &local_.srtt;
+  bool rtt_valid_ = false;
+  Time srtt_ = Time::Zero();
 
  private:
   void SendAvailable();
@@ -150,7 +127,7 @@ class TcpSender {
 
   // RTT estimation / RTO (RFC 6298); srtt_/rtt_valid_ live in the
   // protected block above.
-  Time* rttvar_ = &local_.rttvar;
+  Time rttvar_ = Time::Zero();
   std::uint32_t rto_backoff_ = 0;  // consecutive timeouts
   Timer rto_timer_;
   Timer pace_timer_;
@@ -162,7 +139,7 @@ class TcpSender {
   bool probe_armed_ = false;
   std::uint64_t probe_seq_end_ = 0;
   std::uint64_t sent_high_ = 0;  // highest sequence ever sent
-  Time* probe_sent_at_ = &local_.probe_sent_at;
+  Time probe_sent_at_ = Time::Zero();
 
   bool complete_ = false;
 

@@ -14,7 +14,6 @@
 
 #include "net/host.h"
 #include "net/packet.h"
-#include "transport/flow_hot_state.h"
 #include "transport/tcp_config.h"
 #include "transport/tcp_receiver.h"
 #include "transport/tcp_sender.h"
@@ -40,10 +39,6 @@ class TcpStack : public PacketSink {
   const TcpConfig& config() const { return config_; }
   std::size_t active_senders() const;
 
-  // Dense hot-state rows for every flow this stack ever started (telemetry
-  // sweeps can scan columns without touching sender objects).
-  const FlowHotArena& flow_hot_state() const { return flow_hot_; }
-
   // Optional transport tracing (non-owning; null disables). Applies to
   // flows started after the call.
   void SetTransportTracer(TransportTracer* tracer) {
@@ -53,7 +48,6 @@ class TcpStack : public PacketSink {
  private:
   Host& host_;
   TcpConfig config_;
-  FlowHotArena flow_hot_;
   TransportTracer* transport_tracer_ = nullptr;
   std::uint16_t next_port_ = 1;
   std::unordered_map<FlowKey, std::unique_ptr<TcpSender>, FlowKeyHash>

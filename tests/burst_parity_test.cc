@@ -1,9 +1,8 @@
-// Golden byte-parity suite for the batched-burst + SoA hot path.
+// Golden byte-parity suite for the batched-burst hot path.
 //
-// The burst-drain port/delay-line events and the SoA hot-state layouts
-// (ChipHotBlock, FlowHotArena) were introduced as pure data-plane
-// refactors: with lanes off, every simulated result must be byte-identical
-// to the legacy one-closure-per-packet scheme. This suite pins that across
+// The burst-drain port/delay-line events are a pure data-plane refactor:
+// with lanes off, every simulated result must be byte-identical to the
+// legacy one-closure-per-packet scheme. This suite pins that across
 // all three topologies x {ECN#, DCTCP-tail, CoDel} under a churn scenario
 // (loss injection, an incast burst, a link flap with purge, and an ECN#
 // re-estimate) by running each experiment twice — burst mode and legacy

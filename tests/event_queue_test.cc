@@ -220,21 +220,31 @@ TEST(EventQueueTest, WheelModeCancellationPreservesSurvivors) {
   EXPECT_EQ(sim.live_events(), 0u);
 }
 
+// A pinned event is a function pointer plus its object: the callbacks below
+// are captureless lambdas (which convert to PinnedFn) over a local.
 TEST(EventQueueTest, PinnedEventFiresAndRearmsWithoutNewClosures) {
+  struct Ticker {
+    Simulator* sim;
+    PinnedEventId id;
+    int fires = 0;
+  };
   Simulator sim;
-  int fires = 0;
-  PinnedEventId tick;
-  tick = sim.CreatePinned([&] {
-    ++fires;
-    if (fires < 5) {
-      sim.SchedulePinnedAt(tick, sim.Now() + Time::Nanoseconds(100));
-    }
-  });
+  Ticker ticker{&sim, {}};
+  ticker.id = sim.CreatePinned(
+      [](void* arg) {
+        Ticker& t = *static_cast<Ticker*>(arg);
+        ++t.fires;
+        if (t.fires < 5) {
+          t.sim->SchedulePinnedAt(t.id, t.sim->Now() + Time::Nanoseconds(100));
+        }
+      },
+      &ticker);
+  const PinnedEventId tick = ticker.id;
   EXPECT_FALSE(sim.PinnedArmed(tick));
   sim.SchedulePinnedAt(tick, Time::Nanoseconds(100));
   EXPECT_TRUE(sim.PinnedArmed(tick));
   sim.Run();
-  EXPECT_EQ(fires, 5);
+  EXPECT_EQ(ticker.fires, 5);
   EXPECT_FALSE(sim.PinnedArmed(tick));
   EXPECT_EQ(sim.live_events(), 0u);
   sim.DestroyPinned(tick);
@@ -243,7 +253,8 @@ TEST(EventQueueTest, PinnedEventFiresAndRearmsWithoutNewClosures) {
 TEST(EventQueueTest, PinnedCancelDisarmsOccurrenceButKeepsRegistration) {
   Simulator sim;
   int fires = 0;
-  const PinnedEventId tick = sim.CreatePinned([&] { ++fires; });
+  const PinnedEventId tick =
+      sim.CreatePinned([](void* n) { ++*static_cast<int*>(n); }, &fires);
   sim.SchedulePinnedAt(tick, Time::Nanoseconds(100));
   sim.CancelPinned(tick);
   EXPECT_FALSE(sim.PinnedArmed(tick));
@@ -265,7 +276,8 @@ TEST(EventQueueTest, PinnedAndOneShotShareFifoOrder) {
   std::string log;
   const Time t = Time::FromMicroseconds(1);
   sim.ScheduleAt(t, [&] { log += 'a'; });
-  const PinnedEventId p = sim.CreatePinned([&] { log += 'b'; });
+  const PinnedEventId p = sim.CreatePinned(
+      [](void* l) { *static_cast<std::string*>(l) += 'b'; }, &log);
   sim.SchedulePinnedAt(p, t);
   sim.ScheduleAt(t, [&] { log += 'c'; });
   sim.Run();
@@ -285,7 +297,8 @@ TEST(EventQueueTest, ReservedOrderStampInterleavesAtReservedPosition) {
   sim.ScheduleAt(t, [&] { log += 'c'; });
   // Scheduled last, reserved between a and c.
   sim.ScheduleAtOrdered(t, slot_b, [&] { log += 'b'; });
-  const PinnedEventId p = sim.CreatePinned([&] { log += 'd'; });
+  const PinnedEventId p = sim.CreatePinned(
+      [](void* l) { *static_cast<std::string*>(l) += 'd'; }, &log);
   const std::uint64_t slot_d = sim.ReserveOrder();
   sim.ScheduleAt(t, [&] { log += 'e'; });
   sim.SchedulePinnedAtOrdered(p, t, slot_d);
@@ -444,8 +457,15 @@ class ReferenceEngine {
 struct RealBackend {
   explicit RealBackend(std::function<void(int)> on_fire, int pinned, int timers)
       : fire(std::move(on_fire)) {
+    pin_targets.reserve(static_cast<std::size_t>(pinned));  // stable args
     for (int i = 0; i < pinned; ++i) {
-      pins.push_back(sim.CreatePinned([this, i] { fire(-1 - i); }));
+      pin_targets.push_back(PinTarget{this, -1 - i});
+      pins.push_back(sim.CreatePinned(
+          [](void* arg) {
+            const PinTarget& t = *static_cast<PinTarget*>(arg);
+            t.backend->fire(t.label);
+          },
+          &pin_targets.back()));
     }
     for (int j = 0; j < timers; ++j) {
       clocks.push_back(
@@ -491,8 +511,14 @@ struct RealBackend {
     ids[static_cast<std::size_t>(token)] = id;
   }
 
+  struct PinTarget {
+    RealBackend* backend;
+    int label;
+  };
+
   Simulator sim;
   std::function<void(int)> fire;
+  std::vector<PinTarget> pin_targets;
   std::vector<PinnedEventId> pins;
   std::vector<std::unique_ptr<Timer>> clocks;
   std::vector<EventId> ids;

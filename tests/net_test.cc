@@ -2,9 +2,11 @@
 // draining, overflow drops, ECMP routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "net/delay_line.h"
@@ -298,6 +300,182 @@ TEST(SwitchTest, DefaultRouteCatchesUnmatchedAndSpreads) {
   EXPECT_GT(sink_up_a.count(), 50u);
   EXPECT_GT(sink_up_b.count(), 50u);
   EXPECT_EQ(sw.no_route_drops(), 0u);
+}
+
+// A switch with `n` ports, each feeding its own sink.
+struct SwitchRig {
+  Simulator sim;
+  SwitchNode sw{sim, "rig", /*ecmp_salt=*/11};
+  std::vector<std::unique_ptr<CollectorSink>> sinks;
+  std::vector<EgressPort*> ports;
+
+  explicit SwitchRig(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sinks.push_back(std::make_unique<CollectorSink>(sim));
+      auto port = std::make_unique<EgressPort>(
+          sim, DataRate::GigabitsPerSecond(10), Time::Zero(), BigFifo());
+      port->ConnectTo(*sinks.back());
+      ports.push_back(&sw.AddPort(std::move(port)));
+    }
+  }
+  // Ports that received a packet for `dst`.
+  std::vector<std::size_t> PortsFor(std::uint32_t dst) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+      for (std::size_t j = 0; j < sinks[i]->count(); ++j) {
+        if (sinks[i]->packet(j).flow.dst == dst) {
+          out.push_back(i);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+};
+
+// Hundreds of exact routes installed in shuffled order, some sets widened
+// after many later sets were stored: every destination resolves to its own
+// ECMP set and nothing else.
+TEST(SwitchTest, ShuffledExactRoutesAllResolve) {
+  constexpr std::size_t kPorts = 8;
+  constexpr std::uint32_t kRoutes = 400;
+  SwitchRig rig(kPorts);
+  auto dst_of = [](std::uint32_t i) { return 1000 + 3 * i; };
+  auto second_port = [](std::uint32_t i) { return (i + 3) % kPorts; };
+  std::vector<std::uint32_t> order(kRoutes);
+  for (std::uint32_t i = 0; i < kRoutes; ++i) order[i] = i;
+  std::mt19937_64 rng(42);
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const std::uint32_t i : order) {
+    rig.sw.AddRoute(dst_of(i), *rig.ports[i % kPorts]);
+  }
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const std::uint32_t i : order) {
+    if (i % 5 == 0) rig.sw.AddRoute(dst_of(i), *rig.ports[second_port(i)]);
+  }
+
+  for (std::uint32_t i = 0; i < kRoutes; ++i) {
+    // Several flows per destination, so a two-port set shows both ports.
+    for (std::uint16_t sport = 0; sport < 16; ++sport) {
+      rig.sw.HandlePacket(MakePacket(1, dst_of(i), 100, sport));
+    }
+  }
+  rig.sw.HandlePacket(MakePacket(1, dst_of(0) + 1, 100));  // between routes
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.no_route_drops(), 1u);
+  for (std::uint32_t i = 0; i < kRoutes; ++i) {
+    SCOPED_TRACE(i);
+    std::vector<std::size_t> want{i % kPorts};
+    if (i % 5 == 0) want.push_back(second_port(i));
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(rig.PortsFor(dst_of(i)), want);
+  }
+}
+
+// A repeated AddRoute widens the destination's ECMP set, also after another
+// destination's set was stored behind it.
+TEST(SwitchTest, RepeatedAddRouteWidensEcmpSet) {
+  SwitchRig rig(4);
+  rig.sw.AddRoute(5, *rig.ports[0]);
+  rig.sw.AddRoute(6, *rig.ports[3]);
+  rig.sw.AddRoute(5, *rig.ports[1]);
+  rig.sw.AddRoute(5, *rig.ports[2]);
+  for (std::uint16_t sport = 0; sport < 300; ++sport) {
+    rig.sw.HandlePacket(MakePacket(1, 5, 100, sport));
+    rig.sw.HandlePacket(MakePacket(1, 6, 100, sport));
+  }
+  rig.sim.Run();
+  EXPECT_EQ(rig.sinks[3]->count(), 300u);  // dst 6 kept its single port
+  EXPECT_EQ(rig.PortsFor(6), std::vector<std::size_t>{3});
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_GT(rig.sinks[p]->count(), 50u);
+  EXPECT_EQ(rig.sinks[0]->count() + rig.sinks[1]->count() +
+                rig.sinks[2]->count(),
+            300u);
+}
+
+// Precedence is exact > range > default, whatever the install order: here
+// the exact route is installed first, inside the range it overrides.
+TEST(SwitchTest, ExactRouteInsideRangeWinsOverRangeAndDefault) {
+  SwitchRig rig(3);
+  rig.sw.AddRoute(15, *rig.ports[0]);
+  rig.sw.AddDefaultRoute(*rig.ports[2]);
+  rig.sw.AddRouteRange(10, 19, *rig.ports[1]);
+  for (const std::uint32_t dst : {10u, 15u, 19u, 25u}) {
+    rig.sw.HandlePacket(MakePacket(1, dst, 100));
+  }
+  rig.sim.Run();
+  EXPECT_EQ(rig.PortsFor(15), std::vector<std::size_t>{0});
+  EXPECT_EQ(rig.PortsFor(10), std::vector<std::size_t>{1});
+  EXPECT_EQ(rig.PortsFor(19), std::vector<std::size_t>{1});
+  EXPECT_EQ(rig.PortsFor(25), std::vector<std::size_t>{2});
+}
+
+// EcmpBucket is the splitmix64 finalizer of (key_hash, salt) reduced mod the
+// set size; power-of-two sizes take a mask, which must give the same bucket.
+TEST(SwitchTest, EcmpBucketIsFinalizerModSetSize) {
+  auto mix = [](std::uint64_t key_hash, std::uint64_t salt) {
+    std::uint64_t h = key_hash + salt * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return h;
+  };
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t key = rng();
+    const std::uint64_t salt = rng() & 0xfffff;
+    const std::uint64_t h = mix(key, salt);
+    for (std::size_t n = 1; n <= 64; ++n) {
+      ASSERT_EQ(SwitchNode::EcmpBucket(key, salt, n), h % n)
+          << "key " << key << " salt " << salt << " n " << n;
+    }
+  }
+}
+
+// Range checks hold in every build type: a bad range exits 2 naming the
+// switch and both ranges instead of corrupting the sorted table.
+TEST(SwitchDeathTest, InvertedRangeExits) {
+  EXPECT_EXIT(
+      {
+        SwitchRig rig(1);
+        rig.sw.AddRouteRange(20, 10, *rig.ports[0]);
+      },
+      testing::ExitedWithCode(2), "switch rig: route range \\[20, 10\\]");
+}
+
+TEST(SwitchDeathTest, OverlappingRangeExits) {
+  EXPECT_EXIT(
+      {
+        SwitchRig rig(2);
+        rig.sw.AddRouteRange(10, 19, *rig.ports[0]);
+        rig.sw.AddRouteRange(15, 24, *rig.ports[1]);
+      },
+      testing::ExitedWithCode(2),
+      "switch rig: route range \\[15, 24\\] overlaps \\[10, 19\\]");
+}
+
+TEST(SwitchDeathTest, RangeEndingInsideNextRangeExits) {
+  EXPECT_EXIT(
+      {
+        SwitchRig rig(2);
+        rig.sw.AddRouteRange(20, 29, *rig.ports[0]);
+        rig.sw.AddRouteRange(10, 20, *rig.ports[1]);
+      },
+      testing::ExitedWithCode(2),
+      "switch rig: route range \\[10, 20\\] overlaps \\[20, 29\\]");
+}
+
+TEST(SwitchDeathTest, RangeSharingLoWithDifferentHiExits) {
+  EXPECT_EXIT(
+      {
+        SwitchRig rig(2);
+        rig.sw.AddRouteRange(10, 19, *rig.ports[0]);
+        rig.sw.AddRouteRange(10, 14, *rig.ports[1]);
+      },
+      testing::ExitedWithCode(2),
+      "switch rig: route range \\[10, 14\\] overlaps \\[10, 19\\]");
 }
 
 // ---------------------------------------------------------------------------

@@ -33,10 +33,7 @@ struct SenderHarness {
   std::optional<FlowRecord> completed;
   std::unique_ptr<TcpSender> sender;
 
-  // With `arena` the sender's hot CC fields are re-homed into the SoA rows
-  // before Start(), as TcpStack does; without, it runs on local storage.
-  explicit SenderHarness(const TcpConfig& config, std::uint64_t flow_size,
-                         FlowHotArena* arena = nullptr) {
+  explicit SenderHarness(const TcpConfig& config, std::uint64_t flow_size) {
     auto nic = std::make_unique<EgressPort>(
         sim, DataRate::GigabitsPerSecond(100), Time::Zero(),
         std::make_unique<FifoQueueDisc>(1ull << 26, nullptr));
@@ -45,7 +42,6 @@ struct SenderHarness {
     sender = std::make_unique<TcpSender>(
         host, config, FlowKey{0, 1, 100, 80}, flow_size, 0,
         [this](const FlowRecord& r) { completed = r; });
-    if (arena != nullptr) sender->BindFlowHotState(*arena);
     sender->Start();
     Flush();
   }
@@ -354,81 +350,6 @@ TEST(TcpSenderTest, GoBackNResendDoesNotArmRttProbe) {
   EXPECT_EQ(h.sender->record().timeouts, 1u);
   h.sim.RunFor(Time::Milliseconds(8));
   EXPECT_EQ(h.sender->record().timeouts, 2u);
-}
-
-// --- FlowHotState SoA arena ------------------------------------------------
-
-TEST(FlowHotArenaTest, RowsStayStableAcrossChunkGrowth) {
-  FlowHotArena arena;
-  std::vector<FlowHotRow> rows;
-  // Cross several 64-row chunk boundaries; each allocation must leave every
-  // earlier row's address and contents intact.
-  for (int i = 0; i < 200; ++i) {
-    rows.push_back(arena.AllocRow());
-    *rows.back().cwnd = static_cast<double>(i);
-    *rows.back().rtt_valid = (i % 2) == 0;
-    *rows.back().srtt = Time::Microseconds(i);
-  }
-  EXPECT_EQ(arena.flow_count(), 200u);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_DOUBLE_EQ(*rows[i].cwnd, static_cast<double>(i));
-    EXPECT_EQ(*rows[i].rtt_valid, (i % 2) == 0);
-    EXPECT_EQ(*rows[i].srtt, Time::Microseconds(i));
-    EXPECT_DOUBLE_EQ(*rows[i].ssthresh, 0.0);  // zeroed at alloc
-  }
-}
-
-TEST(FlowHotArenaTest, ForEachRowVisitsAllInAllocationOrder) {
-  FlowHotArena arena;
-  for (int i = 0; i < 70; ++i) {
-    FlowHotRow row = arena.AllocRow();
-    *row.cwnd = static_cast<double>(i + 1);
-  }
-  double sum = 0.0;
-  std::size_t n = 0;
-  arena.ForEachRow([&](double cwnd, double, Time, bool) {
-    sum += cwnd;
-    ++n;
-  });
-  EXPECT_EQ(n, 70u);
-  EXPECT_DOUBLE_EQ(sum, 70.0 * 71.0 / 2.0);
-}
-
-// The load-bearing property of the refactor: a sender bound into the arena
-// (as TcpStack binds every flow) must run bit-identically to one on local
-// storage. Drives both through slow start, fast retransmit, recovery exit,
-// and a DCTCP mark/cut cycle, comparing the full visible state at each step.
-TEST(TcpSenderTest, ArenaBoundSenderRunsBitIdenticalToLocal) {
-  TcpConfig config;  // DCTCP mode: exercises alpha arithmetic too
-  config.init_cwnd_segments = 4;
-  FlowHotArena arena;
-  SenderHarness local(config, 400 * 1460);
-  SenderHarness bound(config, 400 * 1460, &arena);
-  EXPECT_EQ(arena.flow_count(), 1u);
-
-  const auto expect_same = [&] {
-    EXPECT_EQ(bound.sender->cwnd_bytes(), local.sender->cwnd_bytes());
-    EXPECT_EQ(bound.sender->dctcp_alpha(), local.sender->dctcp_alpha());
-    EXPECT_EQ(bound.sender->bytes_acked(), local.sender->bytes_acked());
-    EXPECT_EQ(bound.sent(), local.sent());
-  };
-  const auto ack_both = [&](std::uint64_t ack_no, bool ece) {
-    local.Ack(ack_no, ece);
-    bound.Ack(ack_no, ece);
-    expect_same();
-  };
-
-  expect_same();
-  ack_both(4 * 1460, false);   // slow start growth (RTT sample taken)
-  ack_both(8 * 1460, true);    // marked window: alpha update on rollover
-  ack_both(8 * 1460, false);   // three dupacks -> fast retransmit
-  ack_both(8 * 1460, false);
-  ack_both(8 * 1460, false);
-  EXPECT_EQ(bound.sender->record().fast_retransmits,
-            local.sender->record().fast_retransmits);
-  ack_both(20 * 1460, false);  // recovery exit: cwnd = ssthresh
-  ack_both(40 * 1460, true);   // DCTCP cut in CA
-  ack_both(60 * 1460, false);
 }
 
 }  // namespace
